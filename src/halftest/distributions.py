@@ -167,9 +167,6 @@ class Dataset:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def subset(self, mask: np.ndarray) -> "Dataset":
-        return Dataset(self.points[mask], self.labels[mask])
-
 
 def sample_marginal(spec: MarginalSpec, n: int, seed: int,
                     stream_id: int = rng.STREAM_MARGINAL) -> np.ndarray:

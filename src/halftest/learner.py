@@ -209,7 +209,7 @@ def equivariant_init(ds: Dataset) -> np.ndarray:
 
 def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
                 rep: int) -> LearnerOutcome:
-    start = time.time()
+    start = time.perf_counter()
     base_stream = rng.STREAM_LEARNER + 10 * rep
     s1 = source.draw(cfg.n1, stream_id=base_stream)
     s2 = source.draw(cfg.n2, stream_id=base_stream + 2)
@@ -221,7 +221,7 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
              "gradient_threshold": a_threshold, "per_sigma": {}}
     if not sigmas:
         return LearnerOutcome(accepted=False, stage="empty_sigma_grid",
-                              trace=trace, wall_time=time.time() - start)
+                              trace=trace, wall_time=time.perf_counter() - start)
 
     w0 = equivariant_init(s1)
     survivors = []  # (sigma, w, grad_norm)
@@ -240,7 +240,7 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
         if norms[best] > a_threshold:
             trace["per_sigma"][f"{sigma:.10g}"]["failed_gradient_filter"] = True
             return LearnerOutcome(accepted=False, stage="gradient_filter",
-                                  trace=trace, wall_time=time.time() - start)
+                                  trace=trace, wall_time=time.perf_counter() - start)
         survivors.append((sigma, iterates[best], float(norms[best])))
 
     eta_arg = cfg.eta if cfg.noise == "massart" else None
@@ -252,7 +252,7 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
         info["stationary_accepted"] = verdict.accepted
         if not verdict.accepted:
             return LearnerOutcome(accepted=False, stage="stationary_test",
-                                  trace=trace, wall_time=time.time() - start)
+                                  trace=trace, wall_time=time.perf_counter() - start)
         theta = (1.0 + g4) * sigma / (a_threshold * g4)
         for sign, tag in ((1.0, "disagreement_plus"), (-1.0, "disagreement_minus")):
             d_verdict = local_disagreement_test(s2.points, sign * w, theta,
@@ -261,7 +261,8 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
             info[tag + "_accepted"] = d_verdict.accepted
             if not d_verdict.accepted:
                 return LearnerOutcome(accepted=False, stage="disagreement_test",
-                                      trace=trace, wall_time=time.time() - start)
+                                      trace=trace,
+                                      wall_time=time.perf_counter() - start)
 
     candidates = [w for _, w, _ in survivors] + [-w for _, w, _ in survivors]
     cand_sigmas = [s for s, _, _ in survivors] * 2
@@ -272,7 +273,7 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
                           w=candidates[best],
                           empirical_error=float(errors[best]),
                           sigma_used=float(cand_sigmas[best]),
-                          trace=trace, wall_time=time.time() - start)
+                          trace=trace, wall_time=time.perf_counter() - start)
 
 
 def universal_tester_learner(source: SampleSource, cfg: LearnerConfig,

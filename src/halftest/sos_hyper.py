@@ -77,31 +77,6 @@ class FourthMomentTensor:
     def scaled(self, s: float) -> "FourthMomentTensor":
         return FourthMomentTensor(self.dim, self.values * s)
 
-    def apply(self, v: np.ndarray) -> float:
-        """The quartic form sum_ijkl T[ijkl] v_i v_j v_k v_l."""
-        total = 0.0
-        for pos, ms in enumerate(sorted_multisets(self.dim, 4)):
-            prod = 1.0
-            for i in ms:
-                prod *= v[i]
-            total += multiplicity(ms) * self.values[pos] * prod
-        return float(total)
-
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        """Gradient of the quartic form, i.e. 4 T[v, v, v, .]."""
-        g = np.zeros(self.dim)
-        for pos, ms in enumerate(sorted_multisets(self.dim, 4)):
-            coeff = multiplicity(ms) * self.values[pos]
-            for axis in range(self.dim):
-                if axis in ms:
-                    rest = list(ms)
-                    rest.remove(axis)
-                    prod = ms.count(axis)
-                    for i in rest:
-                        prod *= v[i]
-                    g[axis] += coeff * prod
-        return g
-
 
 def empirical_fourth_moment_tensor(points: np.ndarray) -> FourthMomentTensor:
     """T[ijkl] = mean over the sample of x_i x_j x_k x_l."""

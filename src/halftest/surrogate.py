@@ -30,8 +30,7 @@ from .distributions import Dataset
 from .errors import DimMismatchError
 from .numerics import check_finite, unit
 
-# Derived ramp constants, used by the structural-inequality oracle.
-RAMP_DERIV_LINEAR = 1.0     # l' = 1/sigma exactly on the linear piece
+# Derived ramp constant, used by the structural-inequality oracle.
 RAMP_DERIV_BOUND = 3.0      # l' <= 3/sigma everywhere (actual max is 4/3)
 
 
@@ -106,32 +105,75 @@ def surrogate_gradient(w: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
     return -(weights @ tangents) / ds.n
 
 
-def gradient_norms(ws: np.ndarray, ds: Dataset, p: RampParams,
-                   chunk: int = 256) -> np.ndarray:
+# Iterates per gradient_norms block.  A block shares one reference projection,
+# so its superset of rows grows with how far its iterates spread; PSGD moves
+# most in its first steps, and 64 was the fastest of 32 to 512 on d=5 runs.
+BLOCK = 64
+
+
+def _band_rows(x: np.ndarray, norm_x: np.ndarray, w_ref: np.ndarray,
+               radius: float, sigma: float) -> np.ndarray:
+    """Ascending indices of a superset of the rows x with |<w, x>| < sigma/2
+    for some unit w within distance ``radius`` of the unit vector w_ref.
+
+    Cauchy-Schwarz gives |<w, x>| >= |<w_ref, x>| - ||w - w_ref|| ||x||, so a
+    row outside |<w_ref, x>| < sigma/2 + radius ||x|| is outside the band of
+    every such w.  The test compares computed numbers, so its threshold is
+    widened by ``pad``, a bound on their rounding error (eps is the machine
+    epsilon; Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1):
+    a computed length-d projection of a unit vector is within (d/2) eps ||x||
+    of the exact one in any summation order, the computed ||x|| and radius
+    carry relative errors below (d/2 + 2) eps, and forming the threshold adds
+    about eps (sigma/2 + 2 ||x||).  With radius <= 2 that totals under
+    (2d + 7) eps ||x|| + eps sigma, which pad = 8 (d + 2) eps (||x|| + sigma)
+    covers four times over.
+    """
+    d = x.shape[1]
+    pad = 8.0 * (d + 2) * np.finfo(float).eps * (norm_x + sigma)
+    ref = np.abs(x @ w_ref)
+    return np.flatnonzero(ref < sigma / 2.0 + radius * norm_x + pad)
+
+
+def gradient_norms(ws: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
     """Norms of surrogate_gradient for a stack of unit vectors (k, d).
 
-    The ramp derivative vanishes outside |<w,x>| < sigma/2, so only the
-    in-band (point, candidate) pairs are touched after the projection
-    matmul; for the slab widths used here that is a small fraction of n.
+    The ramp derivative vanishes outside the slab |<w,x>| < sigma/2, so each
+    block of BLOCK consecutive iterates first prunes the points: with
+    w_ref the block's middle iterate and r the largest distance from it to
+    an iterate of the block, only the rows with
+    |<w_ref,x>| < sigma/2 + r ||x|| + pad can be in any iterate's band
+    (``pad`` bounds the rounding error of the computed projections; see
+    ``_band_rows``).  Only those rows are projected onto the block, and each
+    candidate's in-band terms are summed one at a time over the points in
+    ascending index order, so a radial sum that cancels the tangential one
+    in exact arithmetic (a line mass through w) still gives exactly 0.
     """
     ws = np.atleast_2d(np.asarray(ws, dtype=float))
     k, d = ws.shape
     out = np.empty(k)
     x, y = ds.points, ds.labels.astype(float)
-    for start in range(0, k, chunk):
-        block = ws[start:start + chunk]           # (c, d)
+    half = p.sigma / 2.0
+    norm_x = np.linalg.norm(x, axis=1)
+    for start in range(0, k, BLOCK):
+        block = ws[start:start + BLOCK]           # (c, d)
         c = block.shape[0]
-        proj = x @ block.T                        # (n, c)
-        flat = np.flatnonzero(np.abs(proj).ravel() < p.sigma / 2.0)
-        rows, cols = flat // c, flat % c
+        w_ref = block[c // 2]
+        radius = float(np.max(np.linalg.norm(block - w_ref, axis=1)))
+        rows = _band_rows(x, norm_x, w_ref, radius, p.sigma)
+        xr = x[rows]
+        proj = xr @ block.T                       # (m, c)
+        flat = np.flatnonzero(np.abs(proj) < half)
+        pts, cand = np.divmod(flat, c)
         pr = proj.ravel()[flat]
-        wts = smooth_ramp_derivative(np.abs(pr), p) * y[rows]
-        grads = np.zeros((c, d))
-        np.add.at(grads, cols, -wts[:, None] * x[rows])
-        radial = np.zeros(c)
-        np.add.at(radial, cols, wts * pr)
-        grads += radial[:, None] * block
-        out[start:start + chunk] = np.linalg.norm(grads, axis=1) / ds.n
+        wts = smooth_ramp_derivative(np.abs(pr), p) * y[rows][pts]
+        # np.bincount adds its weights in index order, so every candidate's
+        # sums run over its in-band points in ascending order, one at a time
+        columns = np.ascontiguousarray(xr.T)      # (d, m)
+        tangential = np.stack([np.bincount(cand, weights=columns[j][pts] * wts,
+                                           minlength=c) for j in range(d)], axis=1)
+        radial = np.bincount(cand, weights=wts * pr, minlength=c)
+        grads = radial[:, None] * block - tangential
+        out[start:start + c] = np.linalg.norm(grads, axis=1) / ds.n
     return out
 
 
@@ -168,6 +210,13 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
 
     Starts at w0 (or a seeded uniform point on the sphere), renormalizes
     exactly after every step, and is deterministic given (cfg.seed, w0).
+
+    Full-batch steps only project the rows that can lie in the slab: the
+    rows with |<w_ref,x>| < sigma/2 + (sigma/2) ||x|| + pad for a reference
+    iterate w_ref (``pad`` bounds the rounding error of the computed
+    projections; see ``_band_rows``), which contain the band of every w
+    within sigma/2 of w_ref.  The rows are rebuilt around the current
+    iterate whenever it moves farther than sigma/2 from w_ref.
     """
     gen = rng.stream(cfg.seed, rng.STREAM_PSGD)
     if w0 is None:
@@ -178,14 +227,22 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
     iterates = [w.copy()]
     x, y = ds.points, ds.labels.astype(float)
     full_batch = cfg.batch_size is None or cfg.batch_size >= ds.n
+    if full_batch:
+        norm_x = np.linalg.norm(x, axis=1)
+        radius = p.sigma / 2.0
+        w_ref = None
     for _ in range(cfg.iterations):
         if full_batch:
-            proj = x @ w
+            if w_ref is None or np.linalg.norm(w - w_ref) > radius:
+                w_ref = w
+                rows = _band_rows(x, norm_x, w_ref, radius, p.sigma)
+                xr, yr = x[rows], y[rows]
+            proj = xr @ w
             active = np.flatnonzero(np.abs(proj) < p.sigma / 2.0)
             if active.size:
                 pr = proj[active]
-                wts = smooth_ramp_derivative(np.abs(pr), p) * y[active]
-                grad = (-(wts @ x[active]) + (wts @ pr) * w) / ds.n
+                wts = smooth_ramp_derivative(np.abs(pr), p) * yr[active]
+                grad = (-(wts @ xr[active]) + (wts @ pr) * w) / ds.n
             else:
                 grad = np.zeros(ds.dim)
         else:

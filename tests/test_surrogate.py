@@ -3,10 +3,12 @@ import pytest
 
 from halftest.distributions import Dataset, MarginalSpec, NoiseModel, \
     empirical_error, label_dataset, sample_marginal
+from halftest import surrogate
 from halftest.errors import DimMismatchError
+from halftest.numerics import unit
 from halftest.oracle import finite_difference_gradient
-from halftest.surrogate import (PsgdConfig, RampParams, gradient_norms, psgd,
-                                smooth_ramp, smooth_ramp_derivative,
+from halftest.surrogate import (BLOCK, PsgdConfig, RampParams, gradient_norms,
+                                psgd, smooth_ramp, smooth_ramp_derivative,
                                 surrogate_gradient, surrogate_loss)
 
 
@@ -145,6 +147,123 @@ def test_gradient_norms_matches_direct():
     fast = gradient_norms(ws, ds, p)
     direct = [np.linalg.norm(surrogate_gradient(w, ds, p)) for w in ws]
     assert np.allclose(fast, direct, atol=1e-12)
+
+
+def _boundary_dataset(sigma, seed):
+    """Gaussian points, a cloud within ~1e-5 of the planes |x_0| = sigma/2,
+    and points at |x_0| = sigma/2 and one ulp either side, so that e1 sees
+    them exactly on, just inside and just outside its band."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((1500, 4))
+    cloud = rng.standard_normal((500, 4))
+    cloud[:, 0] = np.sign(cloud[:, 0]) * (sigma / 2 + 3e-6 * rng.standard_normal(500))
+    pts = np.vstack([pts, cloud])
+    edge = []
+    for t in (np.nextafter(sigma / 2, 0.0), sigma / 2, np.nextafter(sigma / 2, 1.0)):
+        for sign in (1.0, -1.0):
+            for tail in (0.0, 0.7):
+                edge.append([sign * t, tail, -tail, 0.3])
+    pts = np.vstack([pts, edge])
+    rng.shuffle(pts)
+    return _dataset(pts, np.where(pts @ np.array([1.0, 0.5, 0, 0]) > 0, 1, -1))
+
+
+def _direct_norms(ws, ds, p):
+    return np.array([np.linalg.norm(surrogate_gradient(w, ds, p)) for w in ws])
+
+
+def test_gradient_norms_spread_iterates():
+    # iterates far apart: every block's superset is the whole sample
+    sigma = 0.3
+    ds = _boundary_dataset(sigma, seed=3)
+    rng = np.random.default_rng(4)
+    ws = rng.standard_normal((BLOCK + 40, 4))
+    ws /= np.linalg.norm(ws, axis=1, keepdims=True)
+    ws[5] = ws[BLOCK + 20] = [1.0, 0.0, 0.0, 0.0]
+    p = RampParams(sigma)
+    np.testing.assert_allclose(gradient_norms(ws, ds, p),
+                               _direct_norms(ws, ds, p), rtol=1e-12, atol=0)
+
+
+def test_gradient_norms_clustered_iterates():
+    # iterates within 1e-6 of e1, which is the middle (reference) iterate, so
+    # the superset is a thin slab and the ulp-placed points sit on its edge
+    sigma = 0.3
+    ds = _boundary_dataset(sigma, seed=5)
+    rng = np.random.default_rng(6)
+    e1 = np.array([1.0, 0.0, 0.0, 0.0])
+    ws = np.array([unit(e1 + 1e-6 * rng.standard_normal(4)) for _ in range(41)])
+    ws[20] = e1
+    p = RampParams(sigma)
+    np.testing.assert_allclose(gradient_norms(ws, ds, p),
+                               _direct_norms(ws, ds, p), rtol=1e-12, atol=0)
+
+
+def test_band_rows_is_superset():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3000, 5)) * rng.exponential(1.0, (3000, 1))
+    norm_x = np.linalg.norm(x, axis=1)
+    for sigma, radius in ((0.05, 0.01), (0.2, 0.1), (0.02, 0.5)):
+        w_ref = unit(rng.standard_normal(5))
+        rows = surrogate._band_rows(x, norm_x, w_ref, radius, sigma)
+        assert rows.size < x.shape[0]
+        assert np.all(np.diff(rows) > 0)
+        for _ in range(50):
+            step = rng.standard_normal(5)
+            w = unit(w_ref + radius * rng.uniform() * step / np.linalg.norm(step))
+            if np.linalg.norm(w - w_ref) > radius:
+                continue
+            band = np.flatnonzero(np.abs(x @ w) < sigma / 2.0)
+            assert np.isin(band, rows).all()
+
+
+def test_gradient_norms_line_mass_exactly_zero():
+    # on a line along e1 every tangent x - <w,x> w vanishes for w = +-e1; the
+    # tangential and radial sums must cancel exactly, not to rounding level
+    pts = sample_marginal(MarginalSpec("line_mass", 5), 20_000, seed=33)
+    ds = label_dataset(pts, NoiseModel("agnostic", (1.0, 0, 0, 0, 0),
+                                       rule="boundary_flip", width=0.05), seed=33)
+    e1 = np.eye(5)[0]
+    p = RampParams(0.1)
+    iterates = psgd(ds, p, PsgdConfig(iterations=20, batch_size=None), w0=e1)
+    ws = np.vstack([np.stack(iterates), -e1])
+    assert np.all(gradient_norms(ws, ds, p) == 0.0)
+
+
+def _dense_full_batch_psgd(ds, p, beta, w, iterations):
+    """Full-batch PSGD projecting every point at every step."""
+    x, y = ds.points, ds.labels.astype(float)
+    out = [w.copy()]
+    for _ in range(iterations):
+        proj = x @ w
+        active = np.flatnonzero(np.abs(proj) < p.sigma / 2.0)
+        pr = proj[active]
+        wts = smooth_ramp_derivative(np.abs(pr), p) * y[active]
+        grad = (-(wts @ x[active]) + (wts @ pr) * w) / ds.n
+        w = unit(w - beta * grad)
+        out.append(w.copy())
+    return out
+
+
+def test_full_batch_psgd_matches_dense_across_rebuilds(monkeypatch):
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 5), 5000, seed=34)
+    ds = label_dataset(pts, NoiseModel("massart", (1.0, 0, 0, 0, 0), eta=0.2),
+                       seed=34)
+    p = RampParams(0.1)
+    w0 = unit(np.array([0.2, 1.0, -0.5, 0.3, 0.1]))
+    builds = []
+    band_rows = surrogate._band_rows
+
+    def counted(*args):
+        builds.append(1)
+        return band_rows(*args)
+
+    monkeypatch.setattr(surrogate, "_band_rows", counted)
+    cfg = PsgdConfig(iterations=60, step_size=0.1, batch_size=None)
+    pruned = psgd(ds, p, cfg, w0=w0)
+    dense = _dense_full_batch_psgd(ds, p, 0.1, unit(w0), 60)
+    assert 3 <= len(builds) < 60
+    assert all(np.array_equal(a, b) for a, b in zip(pruned, dense))
 
 
 def test_dim_mismatch():
