@@ -9,9 +9,11 @@ dimension tens, constraints hundreds), so everything is dense float64.
 
 The dual is  minimize b^T y  s.t.  S = sum_i y_i A_i - C >= 0, and an
 ``optimal`` solution certifies a duality gap below the requested tolerance.
-A presolve pass drops linearly dependent equality constraints (declaring
-infeasibility when they are inconsistent), which also makes the Schur
-complement positive definite for degenerate constraint lists.
+A presolve pass takes one eigendecomposition of the Gram matrix of the
+constraint rows.  Independent rows pass through unchanged; dependent ones
+are replaced by an orthonormal basis of their span (declaring infeasibility
+when b does not lie in it), which keeps the Schur complement positive
+definite for degenerate constraint lists.
 """
 
 from __future__ import annotations
@@ -74,63 +76,33 @@ def _svec(m: np.ndarray, scale: np.ndarray, iu) -> np.ndarray:
     return m[iu] * scale
 
 
-def _presolve(problem: SdpProblem, tol: float):
-    """Maximal independent subset of the equalities.
+def _presolve(problem: SdpProblem):
+    """Equalities with independent rows, from one eigendecomposition of the
+    Gram matrix of the svec'd constraint rows.
 
-    Returns (A_list, b, status) where status is INFEASIBLE when a dropped
-    row is inconsistent with the kept ones.
+    Returns (A_list, b, status).  When every Gram eigenvalue is above the
+    rank threshold the constraints come back unchanged.  Otherwise they are
+    replaced by an orthonormal basis of their span, and status is
+    INFEASIBLE when b has a component in the null space of the rows.
     """
-    m = len(problem.constraints)
-    if m == 0:
+    if not problem.constraints:
         return [], np.zeros(0), None
     n = problem.n
     iu = np.triu_indices(n)
     scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
     rows = np.stack([_svec(a, scale, iu) for a, _ in problem.constraints])
     b = np.array([bi for _, bi in problem.constraints])
+    a_list = [a for a, _ in problem.constraints]
 
-    # pivoted QR on rows^T to find an independent subset
-    q, r, piv = _qr_pivot(rows.T)
-    diag = np.abs(np.diag(r)) if r.size else np.zeros(0)
-    thresh = max(rows.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > max(thresh, 1e-13)))
-    keep = sorted(piv[:rank])
-    drop = [i for i in range(m) if i not in set(keep)]
-    if drop:
-        kept_rows = rows[keep]
-        sol, *_ = np.linalg.lstsq(kept_rows.T, rows[drop].T, rcond=None)
-        implied_b = sol.T @ b[keep]
-        scale_b = 1.0 + np.abs(b[drop])
-        if np.any(np.abs(implied_b - b[drop]) > 1e-8 * scale_b):
-            return None, None, INFEASIBLE
-    a_list = [problem.constraints[i][0] for i in keep]
-    return a_list, b[keep], None
-
-
-def _qr_pivot(mat: np.ndarray):
-    """Householder QR with column pivoting (numpy has no pivoted QR)."""
-    a = mat.copy()
-    nrow, ncol = a.shape
-    piv = list(range(ncol))
-    r = a
-    for k in range(min(nrow, ncol)):
-        norms = np.linalg.norm(r[k:, k:], axis=0)
-        j = int(np.argmax(norms)) + k
-        if j != k:
-            r[:, [k, j]] = r[:, [j, k]]
-            piv[k], piv[j] = piv[j], piv[k]
-        x = r[k:, k]
-        nx = np.linalg.norm(x)
-        if nx < 1e-300:
-            continue
-        v = x.copy()
-        v[0] += math.copysign(nx, x[0] if x[0] != 0 else 1.0)
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            continue
-        v /= nv
-        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-    return None, r[:min(nrow, ncol), :], np.array(piv)
+    lam, vec = np.linalg.eigh(rows @ rows.T)
+    independent = lam > max(rows.shape) * np.finfo(float).eps * lam[-1]
+    if np.all(independent):
+        return a_list, b, None
+    null = vec[:, ~independent]
+    if np.linalg.norm(null.T @ b) > 1e-8 * (1.0 + np.linalg.norm(b)):
+        return None, None, INFEASIBLE
+    coeff = vec[:, independent].T / np.sqrt(lam[independent])[:, None]
+    return list(np.tensordot(coeff, np.stack(a_list), axes=1)), coeff @ b, None
 
 
 def _max_step(mat: np.ndarray, dmat: np.ndarray) -> float:
@@ -164,7 +136,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = problem.n
-    a_list, b, bad = _presolve(problem, tol)
+    a_list, b, bad = _presolve(problem)
     if bad == INFEASIBLE:
         return SdpSolution(X=np.zeros((n, n)), value=-math.inf,
                            dual_value=math.inf, status=INFEASIBLE)
@@ -279,18 +251,3 @@ def check_solution(problem: SdpProblem, sol: SdpSolution,
             return False
     return True
 
-
-def dump_problem(problem: SdpProblem, path: str) -> None:
-    """Plain-text sparse dump: header, b vector, then one line per nonzero
-    as ``matrix-id i j value`` with 0 = objective and k >= 1 the k-th
-    constraint matrix (upper triangle only, 1-based indices)."""
-    lines = [f"{problem.n} {len(problem.constraints)}"]
-    lines.append(" ".join(repr(float(b)) for _, b in problem.constraints))
-    mats = [problem.objective] + [a for a, _ in problem.constraints]
-    for mid, mat in enumerate(mats):
-        for i in range(problem.n):
-            for j in range(i, problem.n):
-                if mat[i, j] != 0.0:
-                    lines.append(f"{mid} {i + 1} {j + 1} {repr(float(mat[i, j]))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

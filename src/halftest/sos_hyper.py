@@ -1,21 +1,26 @@
 """Degree-4 SOS relaxation of the maximum directional fourth moment.
 
-The relaxation optimizes over pseudo-moment matrices M indexed by the
-monomials in v of degree <= 2 (constant, v_i, v_i v_j with i <= j):
+The relaxation is a homogeneous quartic program over a Gram matrix M
+indexed by the D = d(d+1)/2 pairs v_i v_j with i <= j:
 
-    maximize   sum_ijkl T[ijkl] Etilde[v_i v_j v_k v_l]
-    subject to M psd, M[1,1] = 1,
-               moment consistency (entries that name the same monomial
-               product are equal), and
-               the sphere ideal Etilde[(sum_i v_i^2 - 1) m] = 0 for every
-               monomial m of degree <= 2.
+    maximize   sum_ms multiplicity(ms) T[ms] Etilde[v^ms]
+    subject to M psd,
+               sum_ij Etilde[v_i^2 v_j^2] = 1   (that is, Etilde[|v|^4] = 1),
+               moment consistency (every entry naming an already-seen
+               quartic monomial equals that monomial's first entry).
 
-The ideal forces M c = 0 for the coefficient vector c of (sum v_i^2 - 1),
-so the feasible set has no interior in the full matrix space.  The solver
-entry point therefore performs that one facial reduction (restricting M to
-the orthogonal complement of c, where the uniform sphere measure is a
-strictly feasible interior point) before handing a reduced, strictly
-feasible SDP to :func:`halftest.sdp.solve_sdp` and lifting the result back.
+Its value equals that of the degree-4 pseudo-expectation relaxation over
+{1, v_i, v_i v_j} with the sphere ideal Etilde[(|v|^2 - 1) m] = 0
+(Doherty and Wehner, arXiv:1210.5048):
+
+* the objective is even, so symmetrizing v -> -v zeros every odd moment;
+* on the even block 1 = |v|^2 modulo the ideal, so the constant row is a
+  combination of the v_i^2 rows and Etilde[1] = 1 becomes Etilde[|v|^4] = 1;
+* the {v_i} block is psd automatically, since
+  Etilde[(a^T v)^2] = sum_k Etilde[(a^T v v_k)^2].
+
+The uniform sphere moments give a positive definite M, so the program is
+strictly feasible, and its equality rows are independent by construction.
 
 A tester built on the relaxation accepts a sample exactly when the
 certified relaxation value is at most ``(C_hyper - 1) * gamma^4``; on
@@ -34,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import check_finite, householder_basis, symmetrize, unit
+from .numerics import check_finite, symmetrize
 from .sdp import SdpProblem, SdpSolution, solve_sdp
 
 
@@ -92,17 +97,12 @@ def empirical_fourth_moment_tensor(points: np.ndarray) -> FourthMomentTensor:
 
 
 # ---------------------------------------------------------------------------
-# moment matrix machinery
+# pair Gram matrix machinery
 
-def moment_basis(dim: int) -> list[tuple]:
-    """Monomials of degree <= 2: (), (i,), (i, j) with i <= j."""
-    return [()] + sorted_multisets(dim, 1) + sorted_multisets(dim, 2)
-
-
-def _canonical_pair(ms: tuple, index: dict) -> tuple:
-    """A fixed (row, col) matrix position representing the monomial ms."""
-    half = len(ms) // 2
-    return index[ms[:half]], index[ms[half:]]
+def _position(ms: tuple, index: dict) -> tuple:
+    """The first (row, col) Gram position, in row-major order over the upper
+    triangle, that names the sorted quartic ms."""
+    return index[ms[:2]], index[ms[2:]]
 
 
 def _entry_matrix(n: int, a: int, b: int) -> np.ndarray:
@@ -115,90 +115,58 @@ def _entry_matrix(n: int, a: int, b: int) -> np.ndarray:
     return e
 
 
-class MomentLayout:
-    """Index bookkeeping shared by the builder and the reader."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.basis = moment_basis(dim)
-        self.size = len(self.basis)
-        self.index = {m: i for i, m in enumerate(self.basis)}
-
-    def canonical(self, ms: tuple) -> tuple:
-        return _canonical_pair(tuple(sorted(ms)), self.index)
-
-    def ideal_vector(self) -> np.ndarray:
-        """Coefficients of (sum_i v_i^2 - 1) in the monomial basis."""
-        c = np.zeros(self.size)
-        c[self.index[()]] = -1.0
-        for i in range(self.dim):
-            c[self.index[(i, i)]] = 1.0
-        return c
-
-
 @dataclass
 class PseudoMomentMatrix:
-    """A solved degree-<=2 moment matrix; entries are pseudo-expectations."""
+    """A solved pair Gram matrix; entries are pseudo-expectations of quartics."""
 
     dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.layout = MomentLayout(self.dim)
+        self.index = {p: i for i, p in enumerate(sorted_multisets(self.dim, 2))}
         self.matrix = symmetrize(self.matrix)
-        if self.matrix.shape != (self.layout.size, self.layout.size):
-            raise ValueError("matrix does not match the monomial basis size")
+        if self.matrix.shape != (len(self.index), len(self.index)):
+            raise ValueError("matrix does not match the number of pairs")
 
     def expectation(self, ms: tuple) -> float:
-        """Pseudo-expectation of the monomial with index multiset ms."""
-        if len(ms) > 4:
-            raise ValueError("only degree <= 4 monomials are represented")
-        a, b = self.layout.canonical(tuple(ms))
-        return float(self.matrix[a, b])
+        """Pseudo-expectation of the quartic monomial with index multiset ms."""
+        if len(ms) != 4:
+            raise ValueError("only degree-4 monomials are represented")
+        return float(self.matrix[_position(tuple(sorted(ms)), self.index)])
 
 
 def build_degree4_relaxation(t: FourthMomentTensor) -> SdpProblem:
-    """The moment-matrix SDP whose value upper-bounds max_{|v|=1} T(v,v,v,v)."""
-    layout = MomentLayout(t.dim)
-    n = layout.size
-    constraints = []
+    """The pair-Gram SDP whose value upper-bounds max_{|v|=1} T(v,v,v,v)."""
+    pairs = sorted_multisets(t.dim, 2)
+    index = {p: i for i, p in enumerate(pairs)}
+    n = len(pairs)
 
-    # normalization Etilde[1] = 1
-    constraints.append((_entry_matrix(n, layout.index[()], layout.index[()]), 1.0))
+    # normalization Etilde[|v|^4] = sum_ij Etilde[v_i^2 v_j^2] = 1
+    squares = np.zeros(n)
+    squares[[index[(i, i)] for i in range(t.dim)]] = 1.0
+    constraints = [(np.outer(squares, squares), 1.0)]
 
-    # moment consistency: every matrix position naming a monomial equals the
-    # canonical position for that monomial
+    # moment consistency: every later position naming a quartic equals the
+    # first one
     for a in range(n):
         for b in range(a, n):
-            ms = tuple(sorted(layout.basis[a] + layout.basis[b]))
-            ca, cb = layout.canonical(ms)
-            if (min(a, b), max(a, b)) != (min(ca, cb), max(ca, cb)):
-                mat = _entry_matrix(n, a, b) - _entry_matrix(n, ca, cb)
+            first = _position(tuple(sorted(pairs[a] + pairs[b])), index)
+            if (a, b) != first:
+                mat = _entry_matrix(n, a, b) - _entry_matrix(n, *first)
                 constraints.append((mat, 0.0))
-
-    # sphere ideal: Etilde[(sum v_i^2 - 1) m] = 0 for deg(m) <= 2
-    for m in layout.basis:
-        mat = -_entry_matrix(n, *layout.canonical(m))
-        for i in range(t.dim):
-            mat = mat + _entry_matrix(n, *layout.canonical(tuple(sorted(m + (i, i)))))
-        constraints.append((mat, 0.0))
 
     objective = np.zeros((n, n))
     for pos, ms in enumerate(sorted_multisets(t.dim, 4)):
         coeff = multiplicity(ms) * t.values[pos]
         if coeff != 0.0:
-            objective = objective + coeff * _entry_matrix(n, *layout.canonical(ms))
+            objective = objective + coeff * _entry_matrix(n, *_position(ms, index))
 
     return SdpProblem(n=n, objective=objective, constraints=constraints)
 
 
 def solve_relaxation(t: FourthMomentTensor, tol: float = 1e-8
                      ) -> tuple[float, Optional[PseudoMomentMatrix], SdpSolution]:
-    """Certified relaxation value via facial reduction.
-
-    Feasible moment matrices all satisfy M c = 0 for the sphere-ideal
-    coefficient vector c, so the problem is solved over the complement
-    subspace (where it is strictly feasible) and lifted back.
+    """Certified relaxation value.
 
     The returned value is the dual objective: up to the solver's
     feasibility tolerance it upper-bounds the relaxation optimum (and
@@ -206,18 +174,7 @@ def solve_relaxation(t: FourthMomentTensor, tol: float = 1e-8
     side the tester's soundness leans on.  It exceeds the primal objective
     by at most the certified duality gap.
     """
-    problem = build_degree4_relaxation(t)
-    layout = MomentLayout(t.dim)
-    cvec = unit(layout.ideal_vector())
-    basis = householder_basis(cvec)                   # (N-1, N), rows span c-perp
-    u = basis.T                                       # (N, N-1)
-    reduced = SdpProblem(
-        n=layout.size - 1,
-        objective=u.T @ problem.objective @ u,
-        constraints=[(u.T @ a @ u, b) for a, b in problem.constraints],
-    )
-    sol = solve_sdp(reduced, tol=tol)
+    sol = solve_sdp(build_degree4_relaxation(t), tol=tol)
     if not sol.optimal:
         return math.nan, None, sol
-    lifted = PseudoMomentMatrix(t.dim, u @ sol.X @ u.T)
-    return max(sol.value, sol.dual_value), lifted, sol
+    return max(sol.value, sol.dual_value), PseudoMomentMatrix(t.dim, sol.X), sol

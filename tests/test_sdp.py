@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from halftest.numerics import sym_eigendecompose
-from halftest.sdp import (INFEASIBLE, MAX_ITERATIONS, SdpProblem,
-                          check_solution, dump_problem, solve_sdp)
+from halftest.sdp import (INFEASIBLE, MAX_ITERATIONS, SdpProblem, _presolve,
+                          check_solution, solve_sdp)
+from halftest.sos_hyper import (build_degree4_relaxation,
+                                empirical_fourth_moment_tensor)
 
 
 def _random_sym(rng, n):
@@ -114,21 +116,29 @@ def test_redundant_equalities_ok():
     assert abs(sol.value - 1.0) < 1e-6
 
 
+def test_presolve_reduces_only_dependent_rows():
+    pts = np.random.default_rng(12).standard_normal((50, 3))
+    sos = build_degree4_relaxation(empirical_fourth_moment_tensor(pts))
+    a_list, b, status = _presolve(sos)
+    assert status is None
+    assert all(a is c for a, (c, _) in zip(a_list, sos.constraints, strict=True))
+    assert list(b) == [bi for _, bi in sos.constraints]
+
+    x = np.diag([0.5, 0.25, 0.25])
+    mats = [np.eye(3), 2 * np.eye(3), np.diag([1.0, 0.0, 0.0])]
+    prob = SdpProblem(n=3, objective=np.eye(3),
+                      constraints=[(a, float(np.tensordot(a, x))) for a in mats])
+    a_list, b, status = _presolve(prob)
+    assert status is None and len(a_list) == 2
+    gram = np.array([[np.tensordot(p, q) for q in a_list] for p in a_list])
+    assert np.allclose(gram, np.eye(2))
+    assert np.allclose([np.tensordot(a, x) for a in a_list], b)
+
+
 def test_unbounded_reported_infeasible_dual():
     # no constraints and an objective with positive eigenvalue: unbounded above
     prob = SdpProblem(n=2, objective=np.eye(2), constraints=[])
     assert solve_sdp(prob).status == INFEASIBLE
-
-
-def test_dump_problem(tmp_path):
-    prob = SdpProblem(n=2, objective=np.array([[1.0, 0.5], [0.5, 0.0]]),
-                      constraints=[(np.eye(2), 1.0)])
-    path = tmp_path / "prob.txt"
-    dump_problem(prob, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "2 1"
-    assert lines[1] == "1.0"
-    assert "0 1 2 0.5" in lines
 
 
 def test_tolerance_validation():

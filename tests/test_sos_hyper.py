@@ -1,13 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from halftest import testers
 from halftest.distributions import MarginalSpec, sample_marginal
 from halftest.oracle import brute_force_max_fourth_moment
-from halftest.sos_hyper import (MomentLayout,
-                                build_degree4_relaxation,
-                                empirical_fourth_moment_tensor, moment_basis,
-                                multiplicity, solve_relaxation,
-                                sorted_multisets)
+from halftest.sos_hyper import (build_degree4_relaxation,
+                                empirical_fourth_moment_tensor, multiplicity,
+                                solve_relaxation, sorted_multisets)
 from halftest.testers import hypercontractivity_test
 
 
@@ -82,14 +83,40 @@ def test_relaxation_rotation_invariance():
     assert abs(a - b) <= 1e-5 * max(1.0, abs(a))
 
 
+# Relaxation values of the earlier inhomogeneous formulation (moment matrix
+# over {1, v_i, v_i v_j} with sphere-ideal rows) on the same samples; the
+# homogeneous pair-Gram program must reproduce them.
+FIXED_VALUES = [
+    (lambda: np.array([[1.0, 0.5], [0.0, 1.0]]), 0.8071244465035232),
+    (lambda: sample_marginal(MarginalSpec("standard_gaussian", 3), 300, seed=25),
+     3.1471901771926696),
+    (lambda: sample_marginal(MarginalSpec("product_laplace", 4), 200, seed=29),
+     6.185305255852501),
+    (lambda: sample_marginal(MarginalSpec("student_t", 4, nu=3), 150, seed=31),
+     17.14704308606308),
+    (lambda: sample_marginal(MarginalSpec("uniform_cube", 5), 500, seed=30),
+     3.502447688513943),
+]
+
+
 def test_problem_shape_and_constraint_kinds():
-    t = empirical_fourth_moment_tensor(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    prob = build_degree4_relaxation(t)
-    layout = MomentLayout(2)
-    assert prob.n == layout.size == 1 + 2 + 3
-    # normalization + consistency + one ideal row per basis monomial
-    assert any(b == 1.0 for _, b in prob.constraints)
-    assert sum(1 for _, b in prob.constraints if b == 0.0) >= layout.size
+    for seed, (make_points, expected) in enumerate(FIXED_VALUES):
+        pts = make_points()
+        d = pts.shape[1]
+        t = empirical_fourth_moment_tensor(pts)
+        prob = build_degree4_relaxation(t)
+        pairs = d * (d + 1) // 2
+        assert prob.n == pairs
+        rhs = [b for _, b in prob.constraints]
+        # one normalization row; one consistency row per repeated quartic position
+        assert rhs.count(1.0) == 1
+        assert rhs.count(0.0) == len(rhs) - 1
+        assert len(rhs) - 1 == pairs * (pairs + 1) // 2 - math.comb(d + 3, 4)
+        value, _, sol = solve_relaxation(t)
+        assert sol.optimal
+        assert abs(value - expected) <= 1e-7 * abs(expected)
+        brute, _ = brute_force_max_fourth_moment(pts, seed=seed)
+        assert value >= brute - 1e-5
 
 
 def test_pseudo_moment_matrix_invariants():
@@ -100,19 +127,14 @@ def test_pseudo_moment_matrix_invariants():
     m = pm.matrix
     # psd within solver tolerance
     assert np.linalg.eigvalsh(m)[0] >= -1e-6
-    # normalization
-    assert abs(pm.expectation(()) - 1.0) <= 1e-6
-    # moment consistency: E[v_i v_j] appears in two positions
-    layout = pm.layout
-    for i in range(3):
-        for j in range(i, 3):
-            a = m[layout.index[(i,)], layout.index[(j,)]]
-            b = m[layout.index[()], layout.index[(i, j)]]
-            assert abs(a - b) <= 1e-6
-    # sphere ideal: sum_i E[v_i^2 m] = E[m] for every basis monomial
-    for mono in layout.basis:
-        total = sum(pm.expectation(tuple(sorted(mono + (i, i)))) for i in range(3))
-        assert abs(total - pm.expectation(mono)) <= 1e-6
+    # normalization sum_ij E[v_i^2 v_j^2] = 1
+    norm = sum(pm.expectation((i, i, j, j)) for i in range(3) for j in range(3))
+    assert abs(norm - 1.0) <= 1e-6
+    # moment consistency: every position naming a quartic holds its value
+    pairs = sorted_multisets(3, 2)
+    for a, pa in enumerate(pairs):
+        for b, pb in enumerate(pairs):
+            assert abs(m[a, b] - pm.expectation(pa + pb)) <= 1e-6
     # objective value consistency
     recomputed = sum(t.values[pos] * multiplicity(ms) * pm.expectation(ms)
                      for pos, ms in enumerate(sorted_multisets(3, 4)))
@@ -154,6 +176,29 @@ def test_hypercontractivity_spike_rejects():
     assert verdict.diagnostics["sdp_value"] > 9.0
 
 
-def test_moment_basis_size():
-    for d in (1, 2, 5):
-        assert len(moment_basis(d)) == 1 + d + d * (d + 1) // 2
+@pytest.mark.parametrize("seed", [15, 16])
+def test_hypercontractivity_gaussian_d8_accepts(seed):
+    # samples on which the earlier formulation stopped short of optimal
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 8), 20_000,
+                          seed=seed, stream_id=60)
+    verdict = hypercontractivity_test(pts, 1.0, 10.0)
+    assert verdict.accepted
+    assert verdict.diagnostics["sdp_value"] < 4.0
+
+
+def test_hypercontractivity_solver_errors(monkeypatch):
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 100, seed=29)
+
+    def fail_with(exc):
+        def solve(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(testers, "solve_relaxation", solve)
+
+    fail_with(np.linalg.LinAlgError("not positive definite"))
+    verdict = hypercontractivity_test(pts, 1.0, 10.0)
+    assert not verdict.accepted
+    assert verdict.diagnostics["solver_failure"] == 1.0
+    # a programming error is not a numerical failure and must surface
+    fail_with(TypeError("bad argument"))
+    with pytest.raises(TypeError):
+        hypercontractivity_test(pts, 1.0, 10.0)
