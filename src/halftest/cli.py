@@ -4,7 +4,6 @@
     halftest test   DATASET --config cfg.json [--out report.json]
     halftest learn  --config cfg.json --out DIR [--jobs N] [--seed N]
     halftest oracle DATASET --config cfg.json [--out report.json]
-    halftest bench  --config cfg.json --out DIR [--jobs N]
 
 Configs are single JSON documents (schemas in the README).  Exit codes:
 0 accept/success, 1 reject, 2 usage/config error, 3 I/O error.  Outputs
@@ -123,8 +122,7 @@ def tester_from_config(c: dict) -> TesterConfig:
     try:
         return TesterConfig(
             lam=float(c.get("lambda", 3.0)), gamma=float(c.get("gamma", 1.0)),
-            delta=float(c.get("delta", 0.25)), c1=float(c.get("c1", 4.0)),
-            c_hyper=float(c.get("c_hyper", 10.0)))
+            c1=float(c.get("c1", 4.0)), c_hyper=float(c.get("c_hyper", 10.0)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad tester config: {exc}") from exc
 
@@ -143,7 +141,7 @@ def learner_from_config(c: dict) -> LearnerConfig:
     try:
         return LearnerConfig(
             lam=float(c.get("lambda", 1.0)), gamma=float(c.get("gamma", 1.0)),
-            eps=float(c["eps"]), delta=float(c.get("delta", 1.0 / 3.0)),
+            eps=float(c["eps"]),
             noise=c.get("noise", "massart"),
             eta=c.get("eta"),
             psgd=psgd_from_config(c.get("psgd", {})),
@@ -157,9 +155,8 @@ def learner_from_config(c: dict) -> LearnerConfig:
 
 
 def resolved_constants(tc: TesterConfig) -> dict:
-    return {"lambda": tc.lam, "gamma": tc.gamma, "delta": tc.delta,
-            "c1": tc.c1, "c_hyper": tc.c_hyper,
-            "strip_constant": tc.strip_constant}
+    return {"lambda": tc.lam, "gamma": tc.gamma, "c1": tc.c1,
+            "c_hyper": tc.c_hyper, "strip_constant": tc.strip_constant}
 
 
 def _load_config(path: str) -> dict:
@@ -223,7 +220,7 @@ def _run_tester(ds: Dataset, cfg: dict):
         if w.shape != (ds.dim,):
             raise ConfigError("w dimension does not match the dataset")
     if name == "spectral":
-        return spectral_test(ds.points, float(cfg["theta"]), cfg.get("mode", "min"), tc)
+        return spectral_test(ds.points, float(cfg["theta"]), cfg.get("mode", "min"))
     if name == "strip":
         prob = strip_probability(ds.points, w, float(cfg["sigma"]))
         return {"strip_probability": prob}
@@ -424,15 +421,6 @@ def cmd_oracle(args) -> int:
     return EXIT_ACCEPT if report["pass"] else EXIT_REJECT
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
-    suite = cfg.get("suite")
-    if suite != "learn":
-        raise ConfigError("bench supports the 'learn' suite "
-                          "(trials of the full tester-learner)")
-    return cmd_learn(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halftest",
@@ -463,13 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("bench", help="run a named benchmark suite")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

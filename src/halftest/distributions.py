@@ -325,16 +325,6 @@ def from_binary(raw: bytes) -> Dataset:
     return Dataset(points.copy(), labels.copy())
 
 
-def save_dataset(ds: Dataset, path: str) -> None:
-    """Write CSV when path ends in .csv, otherwise the binary format."""
-    if str(path).endswith(".csv"):
-        data = to_csv(ds).encode()
-    else:
-        data = to_binary(ds)
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def load_dataset(path: str) -> Dataset:
     with open(path, "rb") as fh:
         raw = fh.read()

@@ -21,10 +21,6 @@ class PreconditionError(HalftestError):
     """A documented operation precondition is violated."""
 
 
-class EmptyStripError(HalftestError):
-    """No sample point falls inside the requested strip."""
-
-
 class DimTooLargeError(HalftestError):
     """Brute-force oracle asked to run in a regime it does not support."""
 

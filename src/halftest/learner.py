@@ -78,7 +78,6 @@ class LearnerConfig:
     lam: float
     gamma: float
     eps: float
-    delta: float = 1.0 / 3.0
     noise: str = "massart"          # "massart" or "agnostic"
     eta: Optional[float] = None
     psgd: PsgdConfig = field(default_factory=lambda: PsgdConfig(iterations=400,

@@ -15,8 +15,6 @@ import numpy as np
 from .errors import NonFiniteError
 
 UNIT_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-9
-ORTHONORMALITY_TOL = 1e-9
 
 
 def check_finite(arr: np.ndarray) -> np.ndarray:

@@ -30,11 +30,6 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
                                                      int(stream_id) & (2**64 - 1)]))
 
 
-def uniform(gen: np.random.Generator, shape) -> np.ndarray:
-    """Uniform [0, 1) draws."""
-    return gen.random(shape)
-
-
 def box_muller(gen: np.random.Generator, n: int) -> np.ndarray:
     """n standard normals via Box-Muller on the uniform stream."""
     pairs = (n + 1) // 2

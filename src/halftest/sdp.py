@@ -3,9 +3,10 @@
 Solves  maximize <C, X>  s.t.  <A_i, X> = b_i,  X >= 0  (psd)
 
 with a primal-dual path-following interior-point method using
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step, dense
-Cholesky on the Schur complement.  Problem sizes here are tiny (matrix
-dimension tens, constraints hundreds), so everything is dense float64.
+Nesterov-Todd scaling and a Mehrotra predictor-corrector step; one dense
+solve of the Schur complement per iteration serves both steps.  Problem
+sizes here are tiny (matrix dimension tens, constraints hundreds), so
+everything is dense float64.
 
 The dual is  minimize b^T y  s.t.  S = sum_i y_i A_i - C >= 0, and an
 ``optimal`` solution certifies a duality gap below the requested tolerance.
@@ -202,31 +203,35 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         wa = np.array([w @ ai @ w for ai in a_stack])
         schur = a_flat @ wa.reshape(m, n * n).T
         schur = (schur + schur.T) / 2.0
+        schur += 1e-14 * np.trace(schur) / m * np.eye(m)
         try:
-            chol = np.linalg.cholesky(schur + 1e-14 * np.trace(schur) / m * np.eye(m))
+            np.linalg.cholesky(schur)  # positive definiteness check only
         except np.linalg.LinAlgError:
             return SdpSolution(X=symmetrize(x), value=pobj, dual_value=dobj,
                                status=MAX_ITERATIONS, gap=gap, iterations=it)
 
-        def solve_newton(rc):
-            # dX + W dS W = rc;  A(dX) = r_p;  A^T(dy) - dS = r_d
-            rhs = operator_a(rc) - r_p + operator_a(w @ r_d @ w)
-            dy = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        # dX + W dS W = rc;  A(dX) = r_p;  A^T(dy) - dS = r_d.  The Schur
+        # right-hand side A(rc) - r_p + A(W r_d W) is affine in
+        # rc = sigma mu S^-1 - X, so one solve serves both steps.
+        s_inv = symmetrize(np.linalg.inv(s))
+        dy_aff, dy_cen = np.linalg.solve(schur, np.column_stack([
+            -operator_a(x) - r_p + operator_a(w @ r_d @ w),
+            operator_a(s_inv)])).T
+
+        def newton_step(rc, dy):
             ds = symmetrize(operator_at(dy) - r_d)
-            dx = symmetrize(rc - w @ ds @ w)
-            return dx, dy, ds
+            return symmetrize(rc - w @ ds @ w), ds
 
         # predictor (affine scaling)
-        rc_aff = -x.copy()
-        dx_a, dy_a, ds_a = solve_newton(rc_aff)
+        dx_a, ds_a = newton_step(-x, dy_aff)
         ap = min(1.0, 0.98 * _max_step(x, dx_a))
         ad = min(1.0, 0.98 * _max_step(s, ds_a))
         mu_aff = float(np.tensordot(x + ap * dx_a, s + ad * ds_a) / n)
         sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
         # corrector with centering
-        rc = sigma * mu * symmetrize(np.linalg.inv(s)) - x
-        dx, dy, ds = solve_newton(rc)
+        dy = dy_aff + sigma * mu * dy_cen
+        dx, ds = newton_step(sigma * mu * s_inv - x, dy)
         ap = min(1.0, 0.98 * _max_step(x, dx))
         ad = min(1.0, 0.98 * _max_step(s, ds))
         x = symmetrize(x + ap * dx)

@@ -19,6 +19,14 @@ Five testers, all pure functions of (points, parameters):
   acceptance, approximate stationarity of the surrogate loss at w forces
   +-w to be angularly close to the empirical risk minimizer.
 
+Each tester takes the margins |<w, x>| once and projects its slab onto the
+complement of w once; the narrower strips are row subsets of that
+projection.  A reject names the stage that failed in ``rejected_by``:
+``strip``, ``spectral_upper``, ``spectral_lower`` or ``hypercontractivity``
+(stationary); ``strip``, ``empty_strip``, ``spectral`` or
+``hypercontractivity`` (anti-concentration); ``strip`` or ``spectral``
+(disagreement).
+
 All thresholds are controlled by two calibration knobs in
 :class:`TesterConfig`: ``c1`` (the strip/spectral constant, entering as
 ``c1 * lam ** c1``) and ``c_hyper`` (the hypercontractivity constant).
@@ -37,7 +45,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .numerics import (check_finite, is_unit, min_eigenvalue, operator_norm,
-                       project_orthogonal, symmetrize)
+                       project_orthogonal)
 from .sos_hyper import empirical_fourth_moment_tensor, solve_relaxation
 
 
@@ -66,7 +74,6 @@ class TesterConfig:
 
     lam: float = 3.0
     gamma: float = 1.0
-    delta: float = 0.25
     c1: float = 4.0
     c_hyper: float = 10.0
 
@@ -75,8 +82,6 @@ class TesterConfig:
             raise ValueError("lam must be >= 1")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         if self.c1 <= 0 or self.c_hyper <= 0:
             raise ValueError("constants must be positive")
 
@@ -88,7 +93,10 @@ class TesterConfig:
 
 def _as_points(data) -> np.ndarray:
     pts = data.points if hasattr(data, "points") else np.asarray(data, dtype=float)
-    return check_finite(pts)
+    pts = check_finite(pts)
+    if pts.shape[0] < 1:
+        raise PreconditionError("need at least one point")
+    return pts
 
 
 def _require_unit(w: np.ndarray) -> np.ndarray:
@@ -98,14 +106,14 @@ def _require_unit(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def spectral_test_on_matrix(m: np.ndarray, theta: float, mode: str,
-                            extra: Optional[dict] = None) -> TesterVerdict:
-    """Accept iff min eig > theta/2 (mode='min') or max eig < 2 theta ('max')."""
+def spectral_test(points, theta: float, mode: str) -> TesterVerdict:
+    """Spectral tester on M_S = E_S[z z^T]: accept iff min eig > theta/2
+    (mode='min') or max eig < 2 theta (mode='max')."""
+    pts = _as_points(points)
     if theta <= 0:
         raise PreconditionError("theta must be positive")
-    m = symmetrize(m)
-    diag = dict(extra or {})
-    diag["theta"] = float(theta)
+    m = pts.T @ pts / pts.shape[0]
+    diag = {"n": pts.shape[0], "theta": float(theta)}
     if mode == "min":
         val = min_eigenvalue(m)
         diag["min_eigenvalue"] = val
@@ -117,14 +125,6 @@ def spectral_test_on_matrix(m: np.ndarray, theta: float, mode: str,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def spectral_test(points, theta: float, mode: str,
-                  cfg: Optional[TesterConfig] = None) -> TesterVerdict:
-    """Spectral tester on M_S = E_S[z z^T]."""
-    pts = _as_points(points)
-    m = pts.T @ pts / pts.shape[0]
-    return spectral_test_on_matrix(m, theta, mode, extra={"n": pts.shape[0]})
-
-
 def strip_probability(data, w: np.ndarray, sigma: float) -> float:
     """Exact empirical fraction with |<w, x>| <= sigma."""
     pts = _as_points(data)
@@ -132,96 +132,72 @@ def strip_probability(data, w: np.ndarray, sigma: float) -> float:
     return float(np.mean(np.abs(pts @ w) <= sigma))
 
 
-def strip_second_moment(points: np.ndarray, w: np.ndarray,
-                        sigma: float) -> tuple[np.ndarray, int]:
-    """M = E_S[(proj x)(proj x)^T 1{|<w,x>| <= sigma}] and the strip count.
-
-    The average is over the full sample; only in-strip points contribute.
-    """
-    pts = _as_points(points)
-    w = _require_unit(w)
-    mask = np.abs(pts @ w) <= sigma
-    z = project_orthogonal(w, pts[mask])
-    d1 = pts.shape[1] - 1
-    if z.shape[0] == 0:
-        return np.zeros((d1, d1)), 0
-    return z.T @ z / pts.shape[0], int(mask.sum())
-
-
-def banded_second_moment(points: np.ndarray, w: np.ndarray,
-                         theta: float) -> np.ndarray:
-    """Inverse-square band weighting of the projected second moments.
-
-    Band i >= 2 holds |<w,x>| in [(i-1) theta, i theta) with weight
-    1/(i-1)^2; points below theta carry no weight (the strip test covers
-    them).  Only the finitely many populated bands are materialized.
-    """
-    pts = _as_points(points)
-    w = _require_unit(w)
-    margins = np.abs(pts @ w)
-    band = np.floor(margins / theta).astype(np.int64) + 1
-    weights = np.where(band >= 2, 1.0 / np.maximum(band - 1, 1) ** 2, 0.0)
-    z = project_orthogonal(w, pts)
-    zw = z * weights[:, None]
-    return z.T @ zw / pts.shape[0]
-
-
-def hypercontractivity_test(points, gamma: float, c_hyper: float = 10.0,
-                            tol: Optional[float] = None) -> TesterVerdict:
+def hypercontractivity_test(points, gamma: float,
+                            c_hyper: float = 10.0) -> TesterVerdict:
     """Accept iff the certified degree-4 SOS relaxation value of the maximum
-    directional fourth moment is <= (c_hyper - 1) * gamma^4."""
+    directional fourth moment is <= (c_hyper - 1) * gamma^4.
+
+    The relaxation is solved to a duality gap of min(1e-8, gamma^4).  A
+    reject without a certified value records ``solver_failure``: the type
+    of the numerical error, the SDP status, or ``non_finite_value``.
+    """
     pts = _as_points(points)
     if gamma <= 0:
         raise PreconditionError("gamma must be positive")
-    if pts.shape[0] < 1:
-        raise PreconditionError("need at least one point")
-    if tol is None:
-        tol = min(1e-8, gamma**4)
-    if tol > gamma**4:
-        raise PreconditionError("solver accuracy must be at most gamma^4")
     threshold = (c_hyper - 1.0) * gamma**4
     tensor = empirical_fourth_moment_tensor(pts)
     try:
-        value, _, sol = solve_relaxation(tensor, tol=tol)
-    except np.linalg.LinAlgError:
-        return TesterVerdict(accepted=False,
-                             diagnostics={"solver_failure": 1.0,
-                                          "threshold": threshold})
-    if not sol.optimal or not math.isfinite(value):
-        return TesterVerdict(accepted=False,
-                             diagnostics={"solver_failure": 1.0,
-                                          "solver_status_reject": 1.0,
-                                          "threshold": threshold})
-    return TesterVerdict(
-        accepted=value <= threshold,
-        diagnostics={"sdp_value": value, "threshold": threshold,
-                     "duality_gap": sol.gap, "n": pts.shape[0]})
+        value, _, sol = solve_relaxation(tensor, tol=min(1e-8, gamma**4))
+    except np.linalg.LinAlgError as exc:
+        failure = type(exc).__name__
+    else:
+        if sol.optimal and math.isfinite(value):
+            return TesterVerdict(
+                accepted=value <= threshold,
+                diagnostics={"sdp_value": value, "threshold": threshold,
+                             "duality_gap": sol.gap, "n": pts.shape[0]})
+        failure = sol.status if not sol.optimal else "non_finite_value"
+    return TesterVerdict(accepted=False,
+                         diagnostics={"solver_failure": failure,
+                                      "threshold": threshold})
+
+
+def _reject(diag: dict, stage: str) -> TesterVerdict:
+    diag["rejected_by"] = stage
+    return TesterVerdict(accepted=False, diagnostics=diag)
 
 
 def local_disagreement_test(points, w: np.ndarray, theta: float,
                             cfg: TesterConfig) -> TesterVerdict:
     """On Accept, every unit w' with angle(w, w') <= theta empirically
-    disagrees with w on at most 5 c1 theta lam^c1 of the sample."""
+    disagrees with w on at most 5 c1 theta lam^c1 of the sample.
+
+    The spectral stage bounds the operator norm of the projected second
+    moments under inverse-square band weighting: band i >= 2 holds
+    |<w,x>| in [(i-1) theta, i theta) with weight 1/(i-1)^2, and points
+    below theta carry no weight (the strip stage covers them).
+    """
     if not 0.0 < theta <= math.pi / 4.0:
         raise PreconditionError("theta must lie in (0, pi/4]")
     pts = _as_points(points)
     w = _require_unit(w)
+    n = pts.shape[0]
     k = cfg.strip_constant
     bound = k * theta
-    diag = {"theta": theta, "threshold": bound, "n": pts.shape[0]}
+    diag = {"theta": theta, "threshold": bound, "n": n}
 
-    p_strip = strip_probability(pts, w, theta)
+    margins = np.abs(pts @ w)
+    p_strip = np.count_nonzero(margins <= theta) / n
     diag["strip_probability"] = p_strip
     if p_strip > bound:
-        diag["rejected_by"] = 1.0  # strip stage
-        return TesterVerdict(accepted=False, diagnostics=diag)
+        return _reject(diag, "strip")
 
-    m = banded_second_moment(pts, w, theta)
-    op = operator_norm(m)
-    diag["band_operator_norm"] = op
-    if op > bound:
-        diag["rejected_by"] = 2.0  # spectral stage
-        return TesterVerdict(accepted=False, diagnostics=diag)
+    band = np.floor(margins / theta).astype(np.int64) + 1
+    weights = np.where(band >= 2, 1.0 / np.maximum(band - 1, 1) ** 2, 0.0)
+    z = project_orthogonal(w, pts)
+    diag["band_operator_norm"] = operator_norm(z.T @ (z * weights[:, None]) / n)
+    if diag["band_operator_norm"] > bound:
+        return _reject(diag, "spectral")
     diag["disagreement_bound"] = 5.0 * bound
     return TesterVerdict(accepted=True, diagnostics=diag)
 
@@ -236,36 +212,32 @@ def weak_anticoncentration_test(points, w: np.ndarray, sigma: float,
         raise PreconditionError("sigma must lie in (0, 1/(2 lam)]")
     if pts.shape[1] < 2:
         raise PreconditionError("need ambient dimension >= 2")
+    n = pts.shape[0]
     k = cfg.strip_constant
-    diag = {"sigma": sigma, "n": pts.shape[0]}
+    diag = {"sigma": sigma, "n": n}
 
-    p_strip = strip_probability(pts, w, sigma)
+    in_slab = np.abs(pts @ w) <= sigma
+    count = np.count_nonzero(in_slab)
+    p_strip = count / n
     diag["strip_probability"] = p_strip
     diag["strip_upper_threshold"] = 2.0 * sigma * k
     if p_strip > 2.0 * sigma * k:
-        diag["rejected_by"] = 1.0
-        return TesterVerdict(accepted=False, diagnostics=diag)
-
-    m, count = strip_second_moment(pts, w, sigma)
+        return _reject(diag, "strip")
     diag["strip_count"] = float(count)
+    # the strip check is upper-only, so an empty slab reaches this point
     if count == 0:
-        diag["empty_strip"] = 1.0
-        diag["rejected_by"] = 2.0
-        return TesterVerdict(accepted=False, diagnostics=diag)
-    spectral = spectral_test_on_matrix(m, 2.0 * sigma / k, "min")
-    diag["conditional_min_eigenvalue"] = spectral.diagnostics["min_eigenvalue"]
-    diag["spectral_threshold"] = sigma / k
-    if not spectral.accepted:
-        diag["rejected_by"] = 2.0
-        return TesterVerdict(accepted=False, diagnostics=diag)
+        return _reject(diag, "empty_strip")
 
-    mask = np.abs(pts @ w) <= sigma
-    projected = project_orthogonal(w, pts[mask])
-    hyper = hypercontractivity_test(projected, cfg.gamma, cfg.c_hyper)
+    z = project_orthogonal(w, pts[in_slab])
+    diag["conditional_min_eigenvalue"] = min_eigenvalue(z.T @ z / n)
+    diag["spectral_threshold"] = sigma / k
+    if not diag["conditional_min_eigenvalue"] > sigma / k:
+        return _reject(diag, "spectral")
+
+    hyper = hypercontractivity_test(z, cfg.gamma, cfg.c_hyper)
     diag.update({f"hyper_{k2}": v for k2, v in hyper.diagnostics.items()})
     if not hyper.accepted:
-        diag["rejected_by"] = 3.0
-        return TesterVerdict(accepted=False, diagnostics=diag)
+        return _reject(diag, "hypercontractivity")
 
     diag["correlation_threshold"] = 1.0 / k
     diag["conditional_probability_bound"] = 1.0 / (k * cfg.gamma**4)
@@ -276,7 +248,12 @@ def stationary_point_test(data, w: np.ndarray, sigma: float,
                           eta: Optional[float], cfg: TesterConfig) -> TesterVerdict:
     """On Accept, a small surrogate-loss gradient at w bounds the angle from
     +-w to the empirical risk minimizer (Massart rate eta, or agnostic when
-    eta is None)."""
+    eta is None).
+
+    The sigma-slab is projected once; the sigma/2 and sigma/6 strips are
+    subsets of its rows.  A passed lower strip check leaves the sigma/6
+    strip nonempty, so the spectral stages never see an empty strip.
+    """
     pts = _as_points(data)
     w = _require_unit(w)
     if not 0.0 < sigma <= 1.0 / (2.0 * cfg.lam):
@@ -285,50 +262,43 @@ def stationary_point_test(data, w: np.ndarray, sigma: float,
         raise PreconditionError("need ambient dimension >= 2")
     if eta is not None and not 0.0 <= eta < 0.5:
         raise PreconditionError("eta must lie in [0, 1/2) or be None")
+    n = pts.shape[0]
     k = cfg.strip_constant
-    diag = {"sigma": sigma, "n": pts.shape[0],
+    diag = {"sigma": sigma, "n": n,
             "eta": -1.0 if eta is None else float(eta)}
 
-    p_low = strip_probability(pts, w, sigma / 6.0)
-    p_high = strip_probability(pts, w, sigma / 2.0)
+    margins = np.abs(pts @ w)
+    count_sixth = np.count_nonzero(margins <= sigma / 6.0)
+    count_half = np.count_nonzero(margins <= sigma / 2.0)
+    p_low, p_high = count_sixth / n, count_half / n
     diag["strip_probability_sixth"] = p_low
     diag["strip_probability_half"] = p_high
     diag["strip_lower_threshold"] = sigma / k
     diag["strip_upper_threshold"] = sigma * k
     if p_low <= sigma / k or p_high > sigma * k:
-        diag["rejected_by"] = 1.0
-        return TesterVerdict(accepted=False, diagnostics=diag)
+        return _reject(diag, "strip")
+    diag["strip_count_half"] = float(count_half)
+    diag["strip_count_sixth"] = float(count_sixth)
 
-    m_plus, count_plus = strip_second_moment(pts, w, sigma / 2.0)
-    m_minus, count_minus = strip_second_moment(pts, w, sigma / 6.0)
-    diag["strip_count_half"] = float(count_plus)
-    diag["strip_count_sixth"] = float(count_minus)
-    if count_minus == 0:
-        diag["empty_strip"] = 1.0
-        diag["rejected_by"] = 2.0
-        return TesterVerdict(accepted=False, diagnostics=diag)
-
-    upper = spectral_test_on_matrix(m_plus, k * sigma / 2.0, "max")
-    diag["half_strip_operator_norm"] = upper.diagnostics["operator_norm"]
+    in_slab = margins <= sigma
+    z = project_orthogonal(w, pts[in_slab])
+    slab_margins = margins[in_slab]
+    z_half = z[slab_margins <= sigma / 2.0]
+    diag["half_strip_operator_norm"] = operator_norm(z_half.T @ z_half / n)
     diag["spectral_upper_threshold"] = sigma * k
-    if not upper.accepted:
-        diag["rejected_by"] = 2.0
-        return TesterVerdict(accepted=False, diagnostics=diag)
+    if not diag["half_strip_operator_norm"] < sigma * k:
+        return _reject(diag, "spectral_upper")
 
-    lower = spectral_test_on_matrix(m_minus, 2.0 * sigma / k, "min")
-    diag["sixth_strip_min_eigenvalue"] = lower.diagnostics["min_eigenvalue"]
+    z_sixth = z[slab_margins <= sigma / 6.0]
+    diag["sixth_strip_min_eigenvalue"] = min_eigenvalue(z_sixth.T @ z_sixth / n)
     diag["spectral_lower_threshold"] = sigma / k
-    if not lower.accepted:
-        diag["rejected_by"] = 3.0
-        return TesterVerdict(accepted=False, diagnostics=diag)
+    if not diag["sixth_strip_min_eigenvalue"] > sigma / k:
+        return _reject(diag, "spectral_lower")
 
-    mask = np.abs(pts @ w) <= sigma
-    projected = project_orthogonal(w, pts[mask])
-    hyper = hypercontractivity_test(projected, cfg.gamma, cfg.c_hyper)
+    hyper = hypercontractivity_test(z, cfg.gamma, cfg.c_hyper)
     diag.update({f"hyper_{k2}": v for k2, v in hyper.diagnostics.items()})
     if not hyper.accepted:
-        diag["rejected_by"] = 4.0
-        return TesterVerdict(accepted=False, diagnostics=diag)
+        return _reject(diag, "hypercontractivity")
 
     scale = 1.0 if eta is None else 1.0 - 2.0 * eta
     diag["gradient_threshold"] = scale / (k * cfg.gamma**4)

@@ -32,8 +32,8 @@ W_STAR5 = (1.0, 0.0, 0.0, 0.0, 0.0)
 BOUNDARY_5PCT = 0.06270677794321385  # Pr[|N(0,1)| <= w] = 0.05
 K_CALIBRATED = 4.0                   # agnostic error-bound constant (recorded)
 
-E2E_TESTER = TesterConfig(lam=3.0, gamma=1.0, delta=0.25, c1=3.0, c_hyper=10.0)
-STANDALONE = TesterConfig(lam=3.0, gamma=1.0, delta=0.1, c1=4.0, c_hyper=10.0)
+E2E_TESTER = TesterConfig(lam=3.0, gamma=1.0, c1=3.0, c_hyper=10.0)
+STANDALONE = TesterConfig(lam=3.0, gamma=1.0, c1=4.0, c_hyper=10.0)
 
 
 def report(num, description, ok, detail=""):
@@ -178,15 +178,14 @@ def test_criterion_06_hypercontractivity_soundness():
 def test_criterion_07_spectral_tester():
     lam, d, theta, delta = 3.0, 4, 1.0, 0.1
     n = int(2 * lam * d**4 / (theta**2 * delta))
-    cfg = TesterConfig(lam=lam, delta=delta)
     accepts = sum(
         spectral_test(sample_marginal(MarginalSpec("standard_gaussian", d), n,
-                                      seed=700 + s), theta, "min", cfg).accepted
+                                      seed=700 + s), theta, "min").accepted
         for s in range(20))
     rejects = 0
     for s in range(20):
         pts = sample_marginal(MarginalSpec("line_mass", d), n // 10, seed=720 + s)
-        rejects += not spectral_test(pts, theta, "min", cfg).accepted
+        rejects += not spectral_test(pts, theta, "min").accepted
     report(7, "spectral tester completeness/soundness",
            accepts >= 18 and rejects == 20,
            f"gaussian {accepts}/20 accepted, rank-deficient {rejects}/20 rejected")

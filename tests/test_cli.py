@@ -220,10 +220,3 @@ def test_oracle_strip_stats_gaussian(tmp_path):
     ocfg = write_config(tmp_path, "o.json", {
         "check": "strip-stats", "sigma": 0.1, "offset": 0.3, "seed": 2})
     assert main(["oracle", data, "--config", ocfg]) == 0
-
-
-def test_bench_requires_suite(tmp_path):
-    cfg = write_config(tmp_path, "b.json", dict(LEARN_CFG))
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    cfg2 = write_config(tmp_path, "b2.json", dict(LEARN_CFG, suite="learn"))
-    assert main(["bench", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 1

@@ -16,7 +16,7 @@ W_STAR5 = (1.0, 0.0, 0.0, 0.0, 0.0)
 
 # calibrated end-to-end configuration: grid arithmetic at lam = 1, tester
 # thresholds at lam = 3 with c1 = 3 (frozen from the Gaussian pilot)
-E2E_TESTER = TesterConfig(lam=3.0, gamma=1.0, delta=0.25, c1=3.0, c_hyper=10.0)
+E2E_TESTER = TesterConfig(lam=3.0, gamma=1.0, c1=3.0, c_hyper=10.0)
 
 
 def massart_config(eps=0.05, iterations=300):

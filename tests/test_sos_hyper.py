@@ -6,6 +6,7 @@ import pytest
 from halftest import testers
 from halftest.distributions import MarginalSpec, sample_marginal
 from halftest.oracle import brute_force_max_fourth_moment
+from halftest.sdp import SdpSolution
 from halftest.sos_hyper import (build_degree4_relaxation,
                                 empirical_fourth_moment_tensor, multiplicity,
                                 solve_relaxation, sorted_multisets)
@@ -197,8 +198,18 @@ def test_hypercontractivity_solver_errors(monkeypatch):
     fail_with(np.linalg.LinAlgError("not positive definite"))
     verdict = hypercontractivity_test(pts, 1.0, 10.0)
     assert not verdict.accepted
-    assert verdict.diagnostics["solver_failure"] == 1.0
+    assert verdict.diagnostics["solver_failure"] == "LinAlgError"
     # a programming error is not a numerical failure and must surface
     fail_with(TypeError("bad argument"))
     with pytest.raises(TypeError):
         hypercontractivity_test(pts, 1.0, 10.0)
+    # a solve that ends without a certified value names why
+    for status, value, failure in (("max_iterations", 1.0, "max_iterations"),
+                                   ("optimal", math.inf, "non_finite_value")):
+        sol = SdpSolution(X=np.zeros((1, 1)), value=value, dual_value=value,
+                          status=status)
+        monkeypatch.setattr(testers, "solve_relaxation",
+                            lambda *args, sol=sol, **kwargs: (sol.value, None, sol))
+        verdict = hypercontractivity_test(pts, 1.0, 10.0)
+        assert not verdict.accepted
+        assert verdict.diagnostics["solver_failure"] == failure

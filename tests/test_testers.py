@@ -16,21 +16,21 @@ from halftest.testers import (TesterConfig,
                               spectral_test, stationary_point_test,
                               strip_probability, weak_anticoncentration_test)
 
-CFG = TesterConfig(lam=3.0, gamma=1.0, delta=0.1, c1=4.0, c_hyper=10.0)
+CFG = TesterConfig(lam=3.0, gamma=1.0, c1=4.0, c_hyper=10.0)
 E1_4 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def test_spectral_rank_deficient_rejects():
     pts = np.tile(np.array([[1.0, 0.0]]), (50, 1))
-    verdict = spectral_test(pts, theta=1.0, mode="min", cfg=CFG)
+    verdict = spectral_test(pts, theta=1.0, mode="min")
     assert not verdict.accepted
 
 
 def test_spectral_identity_accepts_both_modes():
     # scaled canonical basis repeated: E[z z^T] is exactly the identity
     pts = np.concatenate([np.eye(2)] * 30 + [-np.eye(2)] * 30) * math.sqrt(2.0)
-    assert spectral_test(pts, 1.0, "min", CFG).accepted
-    assert spectral_test(pts, 1.0, "max", CFG).accepted
+    assert spectral_test(pts, 1.0, "min").accepted
+    assert spectral_test(pts, 1.0, "max").accepted
 
 
 def test_spectral_gaussian_completeness():
@@ -40,7 +40,7 @@ def test_spectral_gaussian_completeness():
     accepts = 0
     for seed in range(20):
         pts = sample_marginal(MarginalSpec("standard_gaussian", d), n, seed=seed)
-        accepts += spectral_test(pts, theta, "min", CFG).accepted
+        accepts += spectral_test(pts, theta, "min").accepted
     assert accepts >= 18
 
 
@@ -96,7 +96,7 @@ def test_disagreement_hyperplane_mass_rejects():
     verdict = local_disagreement_test(pts, w, 0.1,
                                       TesterConfig(lam=1.0, c1=4.0))
     assert not verdict.accepted
-    assert verdict.diagnostics["rejected_by"] == 1.0
+    assert verdict.diagnostics["rejected_by"] == "strip"
 
 
 def test_disagreement_gaussian_accepts_and_bound_holds():
@@ -166,7 +166,41 @@ def test_stationary_empty_strip_rejects():
     w = np.array([1.0, 0.0, 0.0])
     verdict = stationary_point_test(ds_points, w, 0.05, 0.1, CFG)
     assert not verdict.accepted
-    assert verdict.diagnostics["rejected_by"] == 1.0
+    assert verdict.diagnostics["rejected_by"] == "strip"
+
+
+# hand-built samples in R^3 for w = e1 (projected coordinates are x2, x3)
+FAR = np.array([[2.0, 0.5, 0.0], [-3.0, 0.0, 0.5]] * 10)        # empty slab
+WIDE = np.array([[0.0, 10.0, 0.0], [0.0, -10.0, 0.0],
+                 [0.0, 0.0, 10.0], [0.0, 0.0, -10.0]] * 5)     # E[z z^T] = 50 I
+LINE = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]] * 10)      # rank one
+SPIKE = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                  [0.0, 0.0, -1.0]] * 25
+                 + [[0.0, 20.0, 0.0], [0.0, -20.0, 0.0]])       # E[z_1^4] > 3000
+BAND = WIDE + np.array([0.15, 0.0, 0.0])                        # all in band 2
+E1_3 = np.array([1.0, 0.0, 0.0])
+TESTERS = {
+    "stationary": lambda pts: stationary_point_test(pts, E1_3, 0.1, None, CFG),
+    "anticoncentration": lambda pts: weak_anticoncentration_test(pts, E1_3,
+                                                                 0.1, CFG),
+    "disagreement": lambda pts: local_disagreement_test(pts, E1_3, 0.1, CFG),
+}
+
+
+@pytest.mark.parametrize("tester, points, stage", [
+    ("stationary", FAR, "strip"),
+    ("stationary", WIDE, "spectral_upper"),
+    ("stationary", LINE, "spectral_lower"),
+    ("stationary", SPIKE, "hypercontractivity"),
+    ("anticoncentration", FAR, "empty_strip"),
+    ("anticoncentration", LINE, "spectral"),
+    ("anticoncentration", SPIKE, "hypercontractivity"),
+    ("disagreement", BAND, "spectral"),
+])
+def test_reject_names_its_stage(tester, points, stage):
+    verdict = TESTERS[tester](points)
+    assert not verdict.accepted
+    assert verdict.diagnostics["rejected_by"] == stage
 
 
 def test_stationary_gaussian_accepts_any_labels():
@@ -186,7 +220,7 @@ def test_stationary_angle_bound_against_erm():
     # lam = 1.5 keeps both the acceptance and the gradient hypothesis
     # non-vacuous at this sample size.
     d, sigma, eta = 3, 0.05, 0.1
-    cfg = TesterConfig(lam=1.5, gamma=1.0, delta=0.1, c1=4.0, c_hyper=10.0)
+    cfg = TesterConfig(lam=1.5, gamma=1.0, c1=4.0, c_hyper=10.0)
     w_star = unit(np.array([1.0, 0.3, -0.2]))
     pts = sample_marginal(MarginalSpec("standard_gaussian", d), 30_000, seed=46)
     ds = label_dataset(pts, NoiseModel("massart", tuple(w_star), eta=eta), seed=46)
@@ -208,8 +242,8 @@ def test_monotone_in_c1():
         pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 20_000,
                               seed=300 + seed)
         for c1, c1_big in [(2.0, 4.0), (4.0, 8.0)]:
-            small = TesterConfig(lam=3.0, gamma=1.0, delta=0.1, c1=c1)
-            big = TesterConfig(lam=3.0, gamma=1.0, delta=0.1, c1=c1_big)
+            small = TesterConfig(lam=3.0, gamma=1.0, c1=c1)
+            big = TesterConfig(lam=3.0, gamma=1.0, c1=c1_big)
             for test in (
                 lambda cfg: local_disagreement_test(pts, w, 0.05, cfg),
                 lambda cfg: weak_anticoncentration_test(pts, w, 0.1, cfg),
