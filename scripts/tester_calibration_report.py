@@ -12,6 +12,8 @@ import argparse
 import math
 import sys
 
+from halftest.testers import TesterConfig
+
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -24,11 +26,16 @@ def main():
     ap.add_argument("--sigma", type=float, default=0.0022)
     ap.add_argument("--theta", type=float, default=0.05)
     args = ap.parse_args()
+    try:
+        cfg = TesterConfig(lam=args.lam, gamma=args.gamma, c1=args.c1,
+                           c_hyper=args.c_hyper)
+    except ValueError as exc:
+        ap.error(str(exc))
 
-    k = args.c1 * args.lam ** args.c1
-    g4 = args.gamma**4
+    k = cfg.strip_constant
+    g4 = cfg.gamma**4
     print(f"strip constant c1*lambda^c1 = {k:.4g}")
-    print(f"hypercontractivity accept threshold = {(args.c_hyper - 1) * g4:.4g}"
+    print(f"hypercontractivity accept threshold = {(cfg.c_hyper - 1) * g4:.4g}"
           f"   (gaussian value ~ 3)")
     print()
     sigma = args.sigma

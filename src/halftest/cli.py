@@ -30,7 +30,7 @@ from . import __version__
 from .distributions import (Dataset, MarginalSpec, NoiseModel, empirical_error,
                             label_dataset, load_dataset, sample_marginal,
                             to_binary, to_csv)
-from .errors import HalftestError, PreconditionError
+from .errors import HalftestError
 from .learner import (FixedDatasetSource, LearnerConfig, SyntheticSource,
                       universal_tester_learner)
 from .numerics import unit
@@ -89,13 +89,10 @@ def _report(cfg: dict, body: dict) -> str:
 # config -> objects
 
 def marginal_from_config(c: dict) -> MarginalSpec:
-    try:
-        return MarginalSpec(
-            kind=c["kind"], dim=int(c["dim"]),
-            nu=c.get("nu"), spread=c.get("spread"),
-            direction=tuple(c["direction"]) if c.get("direction") else None)
-    except (KeyError, TypeError, ValueError, HalftestError) as exc:
-        raise ConfigError(f"bad marginal config: {exc}") from exc
+    return MarginalSpec(
+        kind=c["kind"], dim=int(c["dim"]),
+        nu=c.get("nu"), spread=c.get("spread"),
+        direction=tuple(c["direction"]) if c.get("direction") else None)
 
 
 def _target_vector(c: dict, dim: int) -> tuple:
@@ -108,50 +105,36 @@ def _target_vector(c: dict, dim: int) -> tuple:
 
 
 def noise_from_config(c: dict, dim: int) -> NoiseModel:
-    try:
-        return NoiseModel(
-            kind=c["kind"], target=_target_vector(c, dim),
-            eta=float(c.get("eta", 0.0)), profile=c.get("profile", "constant"),
-            width=float(c.get("width", 0.0)), rule=c.get("rule"),
-            flip_prob=float(c.get("flip_prob", 0.0)))
-    except (KeyError, TypeError, ValueError, HalftestError) as exc:
-        raise ConfigError(f"bad noise config: {exc}") from exc
+    return NoiseModel(
+        kind=c["kind"], target=_target_vector(c, dim),
+        eta=float(c.get("eta", 0.0)), profile=c.get("profile", "constant"),
+        width=float(c.get("width", 0.0)), rule=c.get("rule"),
+        flip_prob=float(c.get("flip_prob", 0.0)))
 
 
 def tester_from_config(c: dict) -> TesterConfig:
-    try:
-        return TesterConfig(
-            lam=float(c.get("lambda", 3.0)), gamma=float(c.get("gamma", 1.0)),
-            c1=float(c.get("c1", 4.0)), c_hyper=float(c.get("c_hyper", 10.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tester config: {exc}") from exc
+    return TesterConfig(
+        lam=float(c.get("lambda", 3.0)), gamma=float(c.get("gamma", 1.0)),
+        c1=float(c.get("c1", 4.0)), c_hyper=float(c.get("c_hyper", 10.0)))
 
 
 def psgd_from_config(c: dict) -> PsgdConfig:
-    try:
-        return PsgdConfig(iterations=int(c.get("iterations", 400)),
-                          step_size=c.get("step_size"),
-                          batch_size=c.get("batch_size"),
-                          seed=int(c.get("seed", 0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad psgd config: {exc}") from exc
+    return PsgdConfig(iterations=int(c.get("iterations", 400)),
+                      step_size=c.get("step_size"),
+                      batch_size=c.get("batch_size"),
+                      seed=int(c.get("seed", 0)))
 
 
 def learner_from_config(c: dict) -> LearnerConfig:
-    try:
-        return LearnerConfig(
-            lam=float(c.get("lambda", 1.0)), gamma=float(c.get("gamma", 1.0)),
-            eps=float(c["eps"]),
-            noise=c.get("noise", "massart"),
-            eta=c.get("eta"),
-            psgd=psgd_from_config(c.get("psgd", {})),
-            tester=tester_from_config(c.get("tester", {})),
-            n1=int(c.get("n1", 100_000)), n2=int(c.get("n2", 100_000)),
-            repetitions=int(c.get("repetitions", 1)))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad learner config: {exc}") from exc
+    return LearnerConfig(
+        lam=float(c.get("lambda", 1.0)), gamma=float(c.get("gamma", 1.0)),
+        eps=float(c["eps"]),
+        noise=c.get("noise", "massart"),
+        eta=c.get("eta"),
+        psgd=psgd_from_config(c.get("psgd", {})),
+        tester=tester_from_config(c.get("tester", {})),
+        n1=int(c.get("n1", 100_000)), n2=int(c.get("n2", 100_000)),
+        repetitions=int(c.get("repetitions", 1)))
 
 
 def resolved_constants(tc: TesterConfig) -> dict:
@@ -191,13 +174,13 @@ def cmd_sample(args) -> int:
     n = int(cfg.get("n", 0))
     if n < 1:
         raise ConfigError("n must be >= 1")
+    out = args.out or cfg.get("out")
+    if not out:
+        raise ConfigError("sample needs an output path (--out)")
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     points = sample_marginal(marginal, n, seed)
     noise = noise_from_config(cfg.get("noise", {"kind": "clean"}), marginal.dim)
     ds = label_dataset(points, noise, seed)
-    out = args.out or cfg.get("out")
-    if not out:
-        raise ConfigError("sample needs an output path (--out)")
     try:
         data = to_csv(ds) if str(out).endswith(".csv") else to_binary(ds)
         atomic_write(out, data)
@@ -285,6 +268,9 @@ def cmd_learn(args) -> int:
             if key not in cfg:
                 raise ConfigError(
                     f"learn config needs a '{key}' section (or 'dataset')")
+    out_dir = args.out or cfg.get("out")
+    if not out_dir:
+        raise ConfigError("learn needs an output directory (--out)")
     if args.seed is not None:
         cfg = dict(cfg)
         cfg["seed"] = int(args.seed)
@@ -297,9 +283,6 @@ def cmd_learn(args) -> int:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_learn_trial, payloads))
 
-    out_dir = args.out or cfg.get("out")
-    if not out_dir:
-        raise ConfigError("learn needs an output directory (--out)")
     tc = tester_from_config(cfg["learner"].get("tester", {}))
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -459,9 +442,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PreconditionError, HalftestError, KeyError,
+    except (ConfigError, HalftestError, KeyError, TypeError,
             ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"config error: {what}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -289,6 +289,8 @@ def to_csv(ds: Dataset) -> str:
 
 def from_csv(text: str) -> Dataset:
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines:
+        raise ValueError("empty CSV, expected a header x1,...,xd,y")
     header = lines[0].split(",")
     if header[-1] != "y" or not all(h == f"x{i + 1}" for i, h in enumerate(header[:-1])):
         raise ValueError("bad CSV header, expected x1,...,xd,y")
@@ -314,6 +316,8 @@ def to_binary(ds: Dataset) -> bytes:
 def from_binary(raw: bytes) -> Dataset:
     if raw[:4] != BINARY_MAGIC:
         raise ValueError("bad magic, not a HTDS file")
+    if len(raw) < 16:
+        raise ValueError("truncated HTDS header")
     version, n, d = struct.unpack("<III", raw[4:16])
     if version != BINARY_VERSION:
         raise ValueError(f"unsupported HTDS version {version}")

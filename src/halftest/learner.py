@@ -12,7 +12,9 @@ A single run executes, in order:
 5. keep per sigma the candidate with the smallest gradient norm;
 6. run the stationary-point tester on each survivor (reject on failure);
 7. run the local-disagreement tester at theta = (1+gamma^4) sigma/(A gamma^4)
-   for +w and -w per survivor (reject on failure);
+   once per survivor (reject on failure); one call covers -w as well, since
+   |<-w,x>| = |<w,x>| and angle(-w,-w') = angle(w,w'), so both signs give
+   the same statistics;
 8. accept and output the vector with the smallest empirical S2 error among
    the survivors and their negations.
 
@@ -223,7 +225,7 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
                               trace=trace, wall_time=time.perf_counter() - start)
 
     w0 = equivariant_init(s1)
-    survivors = []  # (sigma, w, grad_norm)
+    survivors = []  # (sigma, w)
     for idx, sigma in enumerate(sigmas):
         params = RampParams(sigma)
         psgd_cfg = PsgdConfig(iterations=cfg.psgd.iterations,
@@ -240,11 +242,11 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
             trace["per_sigma"][f"{sigma:.10g}"]["failed_gradient_filter"] = True
             return LearnerOutcome(accepted=False, stage="gradient_filter",
                                   trace=trace, wall_time=time.perf_counter() - start)
-        survivors.append((sigma, iterates[best], float(norms[best])))
+        survivors.append((sigma, iterates[best]))
 
     eta_arg = cfg.eta if cfg.noise == "massart" else None
     g4 = cfg.gamma**4
-    for sigma, w, grad_norm in survivors:
+    for sigma, w in survivors:
         verdict = stationary_point_test(s2, w, sigma, eta_arg, cfg.tester)
         info = trace["per_sigma"][f"{sigma:.10g}"]
         info["stationary"] = verdict.diagnostics
@@ -253,18 +255,15 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
             return LearnerOutcome(accepted=False, stage="stationary_test",
                                   trace=trace, wall_time=time.perf_counter() - start)
         theta = (1.0 + g4) * sigma / (a_threshold * g4)
-        for sign, tag in ((1.0, "disagreement_plus"), (-1.0, "disagreement_minus")):
-            d_verdict = local_disagreement_test(s2.points, sign * w, theta,
-                                                cfg.tester)
-            info[tag] = d_verdict.diagnostics
-            info[tag + "_accepted"] = d_verdict.accepted
-            if not d_verdict.accepted:
-                return LearnerOutcome(accepted=False, stage="disagreement_test",
-                                      trace=trace,
-                                      wall_time=time.perf_counter() - start)
+        d_verdict = local_disagreement_test(s2.points, w, theta, cfg.tester)
+        info["disagreement"] = d_verdict.diagnostics
+        info["disagreement_accepted"] = d_verdict.accepted
+        if not d_verdict.accepted:
+            return LearnerOutcome(accepted=False, stage="disagreement_test",
+                                  trace=trace, wall_time=time.perf_counter() - start)
 
-    candidates = [w for _, w, _ in survivors] + [-w for _, w, _ in survivors]
-    cand_sigmas = [s for s, _, _ in survivors] * 2
+    candidates = [w for _, w in survivors] + [-w for _, w in survivors]
+    cand_sigmas = [s for s, _ in survivors] * 2
     errors = [empirical_error(w, s2) for w in candidates]
     best = int(np.argmin(errors))
     trace["candidate_errors"] = [float(e) for e in errors]

@@ -265,7 +265,7 @@ def massart_expected_gradient(points: np.ndarray, noise: NoiseModel,
     etas = noise.flip_probabilities(points)
     expected_y = (1.0 - 2.0 * etas) * sign_pm1(points @ noise.target_vector())
     proj = points @ w
-    weights = smooth_ramp_derivative(np.abs(proj), p) * expected_y
+    weights = smooth_ramp_derivative(proj, p) * expected_y
     tangents = points - np.outer(proj, w)
     return -(weights @ tangents) / points.shape[0]
 

@@ -69,16 +69,17 @@ def smooth_ramp(t, p: RampParams):
 
 
 def smooth_ramp_derivative(t, p: RampParams):
-    """Exact derivative of smooth_ramp: nonnegative, even, <= 3/sigma."""
+    """Exact derivative of smooth_ramp: nonnegative, even, <= 3/sigma.
+
+    One masked Hermite expression covers every piece: |t| <= sigma/6 clips
+    to s = 0, where fl(1/3) * 3 / sigma is exactly 1 / sigma, and the mask
+    zeroes the tails (without it, inputs within an ulp of sigma/2 would
+    come out nonzero).
+    """
     sigma = p.sigma
-    t = np.asarray(t, dtype=float)
-    a = np.abs(t)
-    out = np.zeros_like(a)
-    out = np.where(a <= sigma / 6.0, 1.0 / sigma, out)
-    trans = (a > sigma / 6.0) & (a < sigma / 2.0)
-    if np.any(trans):
-        s = (a - sigma / 6.0) / (sigma / 3.0)
-        out = np.where(trans, _hermite_deriv(np.clip(s, 0.0, 1.0)) * 3.0 / sigma, out)
+    a = np.abs(np.asarray(t, dtype=float))
+    s = np.clip((a - sigma / 6.0) / (sigma / 3.0), 0.0, 1.0)
+    out = np.where(a < sigma / 2.0, _hermite_deriv(s) * 3.0 / sigma, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -100,7 +101,7 @@ def surrogate_gradient(w: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
     """Empirical mean of -l'(|<w,x>|) y (x - <w,x> w); orthogonal to w."""
     w = _check_dims(w, ds)
     proj = ds.points @ w
-    weights = smooth_ramp_derivative(np.abs(proj), p) * ds.labels
+    weights = smooth_ramp_derivative(proj, p) * ds.labels
     tangents = ds.points - np.outer(proj, w)
     return -(weights @ tangents) / ds.n
 
@@ -165,7 +166,7 @@ def gradient_norms(ws: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
         flat = np.flatnonzero(np.abs(proj) < half)
         pts, cand = np.divmod(flat, c)
         pr = proj.ravel()[flat]
-        wts = smooth_ramp_derivative(np.abs(pr), p) * y[rows][pts]
+        wts = smooth_ramp_derivative(pr, p) * y[rows][pts]
         # np.bincount adds its weights in index order, so every candidate's
         # sums run over its in-band points in ascending order, one at a time
         columns = np.ascontiguousarray(xr.T)      # (d, m)
@@ -211,6 +212,9 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
     Starts at w0 (or a seeded uniform point on the sphere), renormalizes
     exactly after every step, and is deterministic given (cfg.seed, w0).
 
+    Every step takes the sphere gradient from the in-slab rows of its
+    sample, ``(-(sum l' y x) + (sum l' y <w,x>) w) / batch``; the batch is
+    drawn with replacement, or is the whole dataset for full-batch steps.
     Full-batch steps only project the rows that can lie in the slab: the
     rows with |<w_ref,x>| < sigma/2 + (sigma/2) ||x|| + pad for a reference
     iterate w_ref (``pad`` bounds the rounding error of the computed
@@ -227,30 +231,27 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
     iterates = [w.copy()]
     x, y = ds.points, ds.labels.astype(float)
     full_batch = cfg.batch_size is None or cfg.batch_size >= ds.n
+    denom = ds.n if full_batch else cfg.batch_size
     if full_batch:
         norm_x = np.linalg.norm(x, axis=1)
         radius = p.sigma / 2.0
         w_ref = None
     for _ in range(cfg.iterations):
-        if full_batch:
-            if w_ref is None or np.linalg.norm(w - w_ref) > radius:
-                w_ref = w
-                rows = _band_rows(x, norm_x, w_ref, radius, p.sigma)
-                xr, yr = x[rows], y[rows]
-            proj = xr @ w
-            active = np.flatnonzero(np.abs(proj) < p.sigma / 2.0)
-            if active.size:
-                pr = proj[active]
-                wts = smooth_ramp_derivative(np.abs(pr), p) * yr[active]
-                grad = (-(wts @ xr[active]) + (wts @ pr) * w) / ds.n
-            else:
-                grad = np.zeros(ds.dim)
+        if not full_batch:
+            rows = gen.integers(0, ds.n, size=cfg.batch_size)
+            xr, yr = x[rows], y[rows]
+        elif w_ref is None or np.linalg.norm(w - w_ref) > radius:
+            w_ref = w
+            rows = _band_rows(x, norm_x, w_ref, radius, p.sigma)
+            xr, yr = x[rows], y[rows]
+        proj = xr @ w
+        active = np.flatnonzero(np.abs(proj) < p.sigma / 2.0)
+        if active.size:
+            pr = proj[active]
+            wts = smooth_ramp_derivative(pr, p) * yr[active]
+            grad = (-(wts @ xr[active]) + (wts @ pr) * w) / denom
         else:
-            idx = gen.integers(0, ds.n, size=cfg.batch_size)
-            xb, yb = x[idx], y[idx]
-            proj = xb @ w
-            weights = smooth_ramp_derivative(np.abs(proj), p) * yb
-            grad = -(weights @ (xb - np.outer(proj, w))) / xb.shape[0]
+            grad = np.zeros(ds.dim)
         w = unit(w - beta * grad)
         iterates.append(w.copy())
     return iterates

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from halftest import cli
 from halftest.cli import main
 from halftest.distributions import load_dataset
 
@@ -182,6 +186,59 @@ def test_learn_insufficient_dataset(tmp_path):
     lcfg["dataset"] = data
     cfg = write_config(tmp_path, "l.json", lcfg)
     assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+TINY_CSV = "x1,x2,y\n0.5,1.0,1\n-0.2,0.3,-1\n"
+STRIP_CFG = {"tester": "strip", "w": [1.0, 0.0], "sigma": 0.1}
+
+
+def _malformed(tmp_path, case):
+    """argv for one malformed input: a null number or an empty/short file."""
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_CSV)
+    if case == "sample_n_null":
+        cfg = write_config(tmp_path, "c.json", {
+            "marginal": {"kind": "standard_gaussian", "dim": 2}, "n": None})
+        return ["sample", "--config", cfg, "--out", str(tmp_path / "o.csv")]
+    if case == "learn_trials_null":
+        cfg = write_config(tmp_path, "c.json", dict(LEARN_CFG, trials=None))
+        return ["learn", "--config", cfg, "--out", str(tmp_path / "o")]
+    if case == "test_sigma_null":
+        cfg = write_config(tmp_path, "c.json", dict(STRIP_CFG, sigma=None))
+        return ["test", str(data), "--config", cfg]
+    if case == "empty_csv":
+        data.write_text("")
+    else:  # short_htds: the magic and nothing else
+        data = tmp_path / "d.htds"
+        data.write_bytes(b"HTDS")
+    return ["test", str(data), "--config",
+            write_config(tmp_path, "c.json", STRIP_CFG)]
+
+
+@pytest.mark.parametrize("case", ["sample_n_null", "learn_trials_null",
+                                  "test_sigma_null", "empty_csv", "short_htds"])
+def test_malformed_input_is_a_config_error(tmp_path, case):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "halftest.cli",
+                           *_malformed(tmp_path, case)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
+
+
+def test_output_path_checked_before_work(tmp_path, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "universal_tester_learner", must_not_run)
+    monkeypatch.setattr(cli, "sample_marginal", must_not_run)
+    cfg = write_config(tmp_path, "l.json", LEARN_CFG)
+    assert main(["learn", "--config", cfg]) == 2
+    cfg = write_config(tmp_path, "s.json", {
+        "marginal": {"kind": "standard_gaussian", "dim": 2}, "n": 10})
+    assert main(["sample", "--config", cfg]) == 2
 
 
 def test_oracle_fourth_moment(tmp_path):

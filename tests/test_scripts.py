@@ -18,7 +18,15 @@ def run_script(name, *args):
 def test_tester_calibration_report():
     proc = run_script("tester_calibration_report.py")
     assert proc.returncode == 0, proc.stderr
-    assert "strip constant c1*lambda^c1" in proc.stdout
+    assert proc.stdout.splitlines()[0] == "strip constant c1*lambda^c1 = 81"
+    assert "must stay below 4.050e+00" in proc.stdout
+    assert "certified disagreement bound: 20.2" in proc.stdout
+
+
+def test_tester_calibration_report_rejects_small_lambda():
+    proc = run_script("tester_calibration_report.py", "--lambda", "0.5")
+    assert proc.returncode == 2
+    assert "lam must be >= 1" in proc.stderr
 
 
 def test_hypercontractivity_sweep(tmp_path):

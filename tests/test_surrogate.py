@@ -3,7 +3,7 @@ import pytest
 
 from halftest.distributions import Dataset, MarginalSpec, NoiseModel, \
     empirical_error, label_dataset, sample_marginal
-from halftest import surrogate
+from halftest import rng, surrogate
 from halftest.errors import DimMismatchError
 from halftest.numerics import unit
 from halftest.oracle import finite_difference_gradient
@@ -77,6 +77,41 @@ class TestRamp:
             left = smooth_ramp_derivative(t - h, p)
             right = smooth_ramp_derivative(t + h, p)
             assert abs(left - right) <= 1e-5 / sigma
+
+
+def _ramp_derivative_reference(t, sigma):
+    """l' piece by piece: 1/sigma on |t| <= sigma/6, the Hermite slope
+    (1/3 + 2s/3 - s^2) 3/sigma with s = (|t| - sigma/6)/(sigma/3) clipped to
+    [0, 1] on sigma/6 < |t| < sigma/2, and 0 from sigma/2 on."""
+    a = np.abs(t)
+    out = np.zeros_like(a)
+    out[a <= sigma / 6.0] = 1.0 / sigma
+    trans = (a > sigma / 6.0) & (a < sigma / 2.0)
+    s = np.clip((a[trans] - sigma / 6.0) / (sigma / 3.0), 0.0, 1.0)
+    out[trans] = (1.0 / 3.0 + 2.0 * s / 3.0 - s * s) * 3.0 / sigma
+    return out
+
+
+# at 0.16399 and 0.497221 the computed s of some inputs at or just above
+# sigma/2 is below 1, so an unmasked Hermite slope would leak past sigma/2
+@pytest.mark.parametrize("sigma", [1e-6, 0.0022, 0.05, 0.1, 0.16399, 1.0 / 3.0,
+                                   0.497221, 0.7, 1.0, 3.7])
+def test_ramp_derivative_matches_piecewise_bit_for_bit(sigma):
+    near = []
+    for anchor in (0.0, sigma / 6.0, sigma / 2.0, sigma):
+        t = anchor
+        for _ in range(4):
+            t = np.nextafter(t, -np.inf)
+        for _ in range(9):
+            near.append(t)
+            t = np.nextafter(t, np.inf)
+    spread = np.random.default_rng(0).uniform(-1.2 * sigma, 1.2 * sigma, 2000)
+    ts = np.concatenate([near, spread])
+    ts = np.concatenate([ts, -ts])
+    got = smooth_ramp_derivative(ts, RampParams(sigma))
+    want = _ramp_derivative_reference(ts, sigma)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert smooth_ramp_derivative(sigma / 6.0, RampParams(sigma)) == 1.0 / sigma
 
 
 def _dataset(points, labels):
@@ -264,6 +299,23 @@ def test_full_batch_psgd_matches_dense_across_rebuilds(monkeypatch):
     dense = _dense_full_batch_psgd(ds, p, 0.1, unit(w0), 60)
     assert 3 <= len(builds) < 60
     assert all(np.array_equal(a, b) for a, b in zip(pruned, dense))
+
+
+def test_minibatch_psgd_step_is_the_batch_surrogate_gradient():
+    # mini-batch steps share the full-batch formula; each must be one
+    # projected step along surrogate_gradient of the rows it drew
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 500, seed=35)
+    ds = label_dataset(pts, NoiseModel("massart", (1.0, 0, 0), eta=0.2), seed=35)
+    p = RampParams(0.5)
+    w = unit(np.array([0.3, 1.0, -0.4]))
+    iterates = psgd(ds, p, PsgdConfig(iterations=20, step_size=0.05,
+                                      batch_size=64, seed=3), w0=w)
+    gen = rng.stream(3, rng.STREAM_PSGD)
+    for nxt in iterates[1:]:
+        idx = gen.integers(0, ds.n, size=64)
+        grad = surrogate_gradient(w, Dataset(ds.points[idx], ds.labels[idx]), p)
+        np.testing.assert_allclose(nxt, unit(w - 0.05 * grad), rtol=0, atol=1e-14)
+        w = nxt
 
 
 def test_dim_mismatch():

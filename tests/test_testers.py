@@ -283,3 +283,33 @@ def test_paley_zygmund_random_samples():
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50))
 def test_paley_zygmund_hypothesis(values):
     assert paley_zygmund_holds(np.array(values))
+
+
+GAUSS5 = sample_marginal(MarginalSpec("standard_gaussian", 5), 20_000, seed=3)
+
+
+@pytest.mark.parametrize("points, w, theta", [
+    (GAUSS5, unit(np.array([0.3, -1.0, 0.5, 2.0, -0.7])), 0.05),
+    (GAUSS5, unit(np.array([0.3, -1.0, 0.5, 2.0, -0.7])), 0.7),
+    (BAND, E1_3, 0.1),                          # spectral reject
+])
+def test_disagreement_symmetric_under_negation(points, w, theta):
+    # the learner tests +w only: |<-w,x>| = |<w,x>| and, for w[0] != 0,
+    # householder_basis(-w) == householder_basis(w) bit for bit
+    plus = local_disagreement_test(points, w, theta, CFG)
+    minus = local_disagreement_test(points, -w, theta, CFG)
+    assert minus.accepted == plus.accepted
+    assert minus.diagnostics == plus.diagnostics
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.7])
+def test_disagreement_negation_with_zero_first_coordinate(theta):
+    # w[0] == 0: the two signs get different hyperplane bases, so the band
+    # operator norm may differ by rounding only
+    w = unit(np.array([0.0, -1.0, 0.5, 2.0, -0.7]))
+    plus = local_disagreement_test(GAUSS5, w, theta, CFG)
+    minus = local_disagreement_test(GAUSS5, -w, theta, CFG)
+    assert minus.accepted == plus.accepted
+    assert minus.diagnostics["strip_probability"] == plus.diagnostics["strip_probability"]
+    assert minus.diagnostics["band_operator_norm"] == pytest.approx(
+        plus.diagnostics["band_operator_norm"], rel=1e-12, abs=0.0)
