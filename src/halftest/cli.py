@@ -318,7 +318,7 @@ def _oracle_report(ds: Dataset, cfg: dict) -> dict:
     seed = int(cfg.get("seed", 0))
     if check == "fourth-moment":
         value, v = brute_force_max_fourth_moment(ds.points, seed=seed)
-        sos, _, sol = solve_relaxation(empirical_fourth_moment_tensor(ds.points))
+        sos, sol = solve_relaxation(empirical_fourth_moment_tensor(ds.points))
         return {"check": check, "oracle_value": value,
                 "oracle_direction": [float(x) for x in v],
                 "sos_value": sos, "sos_status": sol.status,

@@ -28,14 +28,20 @@ import numpy as np
 from . import rng
 from .distributions import Dataset, NoiseModel, sign_pm1
 from .errors import DegenerateAngleError, DimTooLargeError
-from .numerics import householder_basis, unit
-from .sos_hyper import empirical_fourth_moment_tensor
+from .numerics import check_finite, householder_basis, unit
 from .surrogate import (RAMP_DERIV_BOUND, RampParams, smooth_ramp_derivative,
                         surrogate_gradient)
 
 GRID_RESOLUTION = 0.01
 COARSE_RESOLUTION_D4 = 0.15
 POWER_RESTARTS = 64
+
+
+def fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
+    """The dense (d, d, d, d) tensor of E_S[x_i x_j x_k x_l]."""
+    n, d = points.shape
+    q = (points[:, :, None] * points[:, None, :]).reshape(n, d * d)
+    return (q.T @ q / n).reshape((d,) * 4)
 
 
 def _power_iterate(dense: np.ndarray, v: np.ndarray,
@@ -100,9 +106,11 @@ def brute_force_max_fourth_moment(points: np.ndarray, mode: str = "auto",
     Ascent mode (any d): multi-start power iteration only — a certified
     lower bound rather than the global maximum.
     """
-    points = np.asarray(points, dtype=float)
+    points = check_finite(points)
+    if points.ndim != 2 or points.shape[0] < 1:
+        raise ValueError("points must be a nonempty (n, d) array")
     d = points.shape[1]
-    dense = empirical_fourth_moment_tensor(points).dense()
+    dense = fourth_moment_tensor(points)
     if mode not in ("auto", "grid", "ascent"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "grid" and d > 4:
@@ -113,7 +121,8 @@ def brute_force_max_fourth_moment(points: np.ndarray, mode: str = "auto",
     starts = []
     if use_grid:
         grid = _sphere_grid(d, resolution)
-        means = np.mean((points @ grid.T) ** 4, axis=0)
+        proj = points @ grid.T
+        means = np.mean(np.square(np.square(proj, out=proj), out=proj), axis=0)
         order = np.argsort(means)[::-1]
         best_val, best_v = float(means[order[0]]), grid[order[0]]
         starts.extend(grid[order[:32]])

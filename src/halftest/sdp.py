@@ -14,18 +14,18 @@ A presolve pass takes one eigendecomposition of the Gram matrix of the
 constraint rows.  Independent rows pass through unchanged; dependent ones
 are replaced by an orthonormal basis of their span (declaring infeasibility
 when b does not lie in it), which keeps the Schur complement positive
-definite for degenerate constraint lists.
+definite for degenerate constraint stacks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .numerics import symmetrize
+from .errors import NonFiniteError
+from .numerics import check_finite, symmetrize
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -39,23 +39,29 @@ DEFAULT_MAX_ITER = 500
 
 @dataclass
 class SdpProblem:
-    """maximize <objective, X> subject to <A_i, X> = b_i, X psd."""
+    """maximize <objective, X> subject to <constraints[i], X> = b[i], X psd.
+
+    ``constraints`` is one (m, n, n) stack, symmetrized on construction.
+    """
 
     n: int
     objective: np.ndarray
-    constraints: list  # list[(np.ndarray, float)]
+    constraints: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
         self.objective = symmetrize(np.asarray(self.objective, dtype=float))
         if self.objective.shape != (self.n, self.n):
             raise ValueError("objective must be n x n")
-        fixed = []
-        for a, b in self.constraints:
-            a = symmetrize(np.asarray(a, dtype=float))
-            if a.shape != (self.n, self.n):
-                raise ValueError("constraint matrix must be n x n")
-            fixed.append((a, float(b)))
-        self.constraints = fixed
+        a = check_finite(np.asarray(self.constraints, dtype=float))
+        if a.size == 0:
+            a = a.reshape(0, self.n, self.n)
+        if a.ndim != 3 or a.shape[1:] != (self.n, self.n):
+            raise ValueError("constraints must be an (m, n, n) array")
+        self.constraints = (a + a.transpose(0, 2, 1)) / 2.0
+        self.b = check_finite(np.asarray(self.b, dtype=float))
+        if self.b.shape != (len(a),):
+            raise ValueError("b must have one entry per constraint")
 
 
 @dataclass
@@ -66,44 +72,37 @@ class SdpSolution:
     status: str
     gap: float = math.inf
     iterations: int = 0
-    y: Optional[np.ndarray] = None
 
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
 
 
-def _svec(m: np.ndarray, scale: np.ndarray, iu) -> np.ndarray:
-    return m[iu] * scale
-
-
 def _presolve(problem: SdpProblem):
     """Equalities with independent rows, from one eigendecomposition of the
     Gram matrix of the svec'd constraint rows.
 
-    Returns (A_list, b, status).  When every Gram eigenvalue is above the
-    rank threshold the constraints come back unchanged.  Otherwise they are
-    replaced by an orthonormal basis of their span, and status is
-    INFEASIBLE when b has a component in the null space of the rows.
+    Returns (constraints, b, status).  When every Gram eigenvalue is above
+    the rank threshold the problem's own arrays come back unchanged.
+    Otherwise the rows are replaced by an orthonormal basis of their span,
+    and status is INFEASIBLE when b has a component in the null space of
+    the rows.
     """
-    if not problem.constraints:
-        return [], np.zeros(0), None
-    n = problem.n
-    iu = np.triu_indices(n)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    rows = np.stack([_svec(a, scale, iu) for a, _ in problem.constraints])
-    b = np.array([bi for _, bi in problem.constraints])
-    a_list = [a for a, _ in problem.constraints]
+    a, b = problem.constraints, problem.b
+    if len(a) == 0:
+        return a, b, None
+    iu = np.triu_indices(problem.n)
+    rows = a[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
 
     lam, vec = np.linalg.eigh(rows @ rows.T)
     independent = lam > max(rows.shape) * np.finfo(float).eps * lam[-1]
     if np.all(independent):
-        return a_list, b, None
+        return a, b, None
     null = vec[:, ~independent]
     if np.linalg.norm(null.T @ b) > 1e-8 * (1.0 + np.linalg.norm(b)):
         return None, None, INFEASIBLE
     coeff = vec[:, independent].T / np.sqrt(lam[independent])[:, None]
-    return list(np.tensordot(coeff, np.stack(a_list), axes=1)), coeff @ b, None
+    return np.tensordot(coeff, a, axes=1), coeff @ b, None
 
 
 def _max_step(mat: np.ndarray, dmat: np.ndarray) -> float:
@@ -133,16 +132,17 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
 def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
               max_iterations: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Interior-point solve; ``optimal`` certifies gap <= tol and feasibility
-    within TOL_FEAS / TOL_PSD."""
+    within TOL_FEAS / TOL_PSD.  A step that breaks down numerically ends the
+    solve with the current iterate and status MAX_ITERATIONS."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = problem.n
-    a_list, b, bad = _presolve(problem)
+    a, b, bad = _presolve(problem)
     if bad == INFEASIBLE:
         return SdpSolution(X=np.zeros((n, n)), value=-math.inf,
                            dual_value=math.inf, status=INFEASIBLE)
     c = problem.objective
-    m = len(a_list)
+    m = len(a)
 
     if m == 0:
         # unconstrained: bounded iff C is nsd; optimum X = 0
@@ -153,8 +153,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         return SdpSolution(X=np.zeros((n, n)), value=0.0, dual_value=0.0,
                            status=OPTIMAL, gap=0.0)
 
-    a_stack = np.stack(a_list)                      # (m, n, n)
-    a_flat = a_stack.reshape(m, n * n)
+    a_flat = a.reshape(m, n * n)                    # A(X) = a_flat @ X.ravel()
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
 
@@ -166,17 +165,12 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     s = rho_d * np.eye(n)
     y = np.zeros(m)
 
-    def operator_a(mat):
-        return a_flat @ mat.ravel()
-
-    def operator_at(vec):
-        return np.tensordot(vec, a_stack, axes=1)
-
-    best = None
+    best = SdpSolution(X=np.zeros((n, n)), value=0.0, dual_value=0.0,
+                       status=MAX_ITERATIONS)
     for it in range(1, max_iterations + 1):
         mu = float(np.tensordot(x, s) / n)
-        r_p = b - operator_a(x)
-        r_d = c + s - operator_at(y)               # want 0
+        r_p = b - a_flat @ x.ravel()
+        r_d = c + s - np.tensordot(y, a, axes=1)   # want 0
         pobj = float(np.tensordot(c, x))
         dobj = float(b @ y)
         gap = dobj - pobj
@@ -185,62 +179,53 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         feas_d = np.linalg.norm(r_d) / norm_c
         if rel_gap <= tol and feas_p <= TOL_FEAS and feas_d <= TOL_FEAS:
             return SdpSolution(X=symmetrize(x), value=pobj, dual_value=dobj,
-                               status=OPTIMAL, gap=max(gap, 0.0),
-                               iterations=it, y=y.copy())
+                               status=OPTIMAL, gap=max(gap, 0.0), iterations=it)
         if (np.linalg.norm(y) > 1e12 * norm_b or not np.isfinite(mu)
                 or mu > 1e14 or abs(pobj) > 1e13 * norm_c):
             # diverging dual (primal infeasible) or diverging primal value
             # (dual infeasible / primal unbounded)
             return SdpSolution(X=symmetrize(x), value=pobj, dual_value=dobj,
                                status=INFEASIBLE, gap=gap, iterations=it)
-        best = (symmetrize(x), pobj, dobj, gap, it)
-
+        best = SdpSolution(X=symmetrize(x), value=pobj, dual_value=dobj,
+                           status=MAX_ITERATIONS, gap=gap, iterations=it)
         try:
             w = _nt_scaling(x, s)
-        except np.linalg.LinAlgError:
-            return SdpSolution(X=symmetrize(x), value=pobj, dual_value=dobj,
-                               status=MAX_ITERATIONS, gap=gap, iterations=it)
-        wa = np.array([w @ ai @ w for ai in a_stack])
-        schur = a_flat @ wa.reshape(m, n * n).T
-        schur = (schur + schur.T) / 2.0
-        schur += 1e-14 * np.trace(schur) / m * np.eye(m)
-        try:
+            wa = np.array([w @ ai @ w for ai in a])
+            schur = a_flat @ wa.reshape(m, n * n).T
+            schur = (schur + schur.T) / 2.0
+            schur += 1e-14 * np.trace(schur) / m * np.eye(m)
             np.linalg.cholesky(schur)  # positive definiteness check only
-        except np.linalg.LinAlgError:
-            return SdpSolution(X=symmetrize(x), value=pobj, dual_value=dobj,
-                               status=MAX_ITERATIONS, gap=gap, iterations=it)
 
-        # dX + W dS W = rc;  A(dX) = r_p;  A^T(dy) - dS = r_d.  The Schur
-        # right-hand side A(rc) - r_p + A(W r_d W) is affine in
-        # rc = sigma mu S^-1 - X, so one solve serves both steps.
-        s_inv = symmetrize(np.linalg.inv(s))
-        dy_aff, dy_cen = np.linalg.solve(schur, np.column_stack([
-            -operator_a(x) - r_p + operator_a(w @ r_d @ w),
-            operator_a(s_inv)])).T
+            # dX + W dS W = rc;  A(dX) = r_p;  A^T(dy) - dS = r_d.  The Schur
+            # right-hand side A(rc) - r_p + A(W r_d W) is affine in
+            # rc = sigma mu S^-1 - X, so one solve serves both steps.
+            s_inv = symmetrize(np.linalg.inv(s))
+            dy_aff, dy_cen = np.linalg.solve(schur, np.column_stack([
+                -(a_flat @ x.ravel()) - r_p + a_flat @ (w @ r_d @ w).ravel(),
+                a_flat @ s_inv.ravel()])).T
 
-        def newton_step(rc, dy):
-            ds = symmetrize(operator_at(dy) - r_d)
-            return symmetrize(rc - w @ ds @ w), ds
+            def newton_step(rc, dy):
+                ds = symmetrize(np.tensordot(dy, a, axes=1) - r_d)
+                return symmetrize(rc - w @ ds @ w), ds
 
-        # predictor (affine scaling)
-        dx_a, ds_a = newton_step(-x, dy_aff)
-        ap = min(1.0, 0.98 * _max_step(x, dx_a))
-        ad = min(1.0, 0.98 * _max_step(s, ds_a))
-        mu_aff = float(np.tensordot(x + ap * dx_a, s + ad * ds_a) / n)
-        sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
+            # predictor (affine scaling)
+            dx_a, ds_a = newton_step(-x, dy_aff)
+            ap = min(1.0, 0.98 * _max_step(x, dx_a))
+            ad = min(1.0, 0.98 * _max_step(s, ds_a))
+            mu_aff = float(np.tensordot(x + ap * dx_a, s + ad * ds_a) / n)
+            sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
-        # corrector with centering
-        dy = dy_aff + sigma * mu * dy_cen
-        dx, ds = newton_step(sigma * mu * s_inv - x, dy)
-        ap = min(1.0, 0.98 * _max_step(x, dx))
-        ad = min(1.0, 0.98 * _max_step(s, ds))
-        x = symmetrize(x + ap * dx)
-        y = y + ad * dy
-        s = symmetrize(s + ad * ds)
-
-    xb, pobj, dobj, gap, it = best if best else (np.zeros((n, n)), 0.0, 0.0, math.inf, 0)
-    return SdpSolution(X=xb, value=pobj, dual_value=dobj,
-                       status=MAX_ITERATIONS, gap=gap, iterations=max_iterations)
+            # corrector with centering
+            dy = dy_aff + sigma * mu * dy_cen
+            dx, ds = newton_step(sigma * mu * s_inv - x, dy)
+            ap = min(1.0, 0.98 * _max_step(x, dx))
+            ad = min(1.0, 0.98 * _max_step(s, ds))
+            x = symmetrize(x + ap * dx)
+            y = y + ad * dy
+            s = symmetrize(s + ad * ds)
+        except (np.linalg.LinAlgError, NonFiniteError):
+            return best
+    return best
 
 
 def check_solution(problem: SdpProblem, sol: SdpSolution,
@@ -251,8 +236,5 @@ def check_solution(problem: SdpProblem, sol: SdpSolution,
     lam_min = np.linalg.eigvalsh(sol.X)[0]
     if lam_min < -tol_psd * (1.0 + abs(np.trace(sol.X))):
         return False
-    for a, b in problem.constraints:
-        if abs(np.tensordot(a, sol.X) - b) > tol_feas * (1.0 + abs(b)):
-            return False
-    return True
-
+    residual = np.tensordot(problem.constraints, sol.X) - problem.b
+    return bool(np.all(np.abs(residual) <= tol_feas * (1.0 + np.abs(problem.b))))

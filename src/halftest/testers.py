@@ -145,9 +145,9 @@ def hypercontractivity_test(points, gamma: float,
     if gamma <= 0:
         raise PreconditionError("gamma must be positive")
     threshold = (c_hyper - 1.0) * gamma**4
-    tensor = empirical_fourth_moment_tensor(pts)
+    moments = empirical_fourth_moment_tensor(pts)
     try:
-        value, _, sol = solve_relaxation(tensor, tol=min(1e-8, gamma**4))
+        value, sol = solve_relaxation(moments, tol=min(1e-8, gamma**4))
     except np.linalg.LinAlgError as exc:
         failure = type(exc).__name__
     else:

@@ -114,7 +114,7 @@ def test_criterion_03_sdp_vs_eigen_oracle():
         n = int(rng.integers(2, 13))
         c = rng.standard_normal((n, n))
         c = (c + c.T) / 2
-        prob = SdpProblem(n=n, objective=c, constraints=[(np.eye(n), 1.0)])
+        prob = SdpProblem(n=n, objective=c, constraints=[np.eye(n)], b=[1.0])
         sol = solve_sdp(prob)
         oracle = sym_eigendecompose(c).eigenvalues[-1]
         assert sol.optimal
@@ -135,7 +135,7 @@ def test_criterion_04_sos_dominates_brute_force():
         spec = MarginalSpec(kind, d, nu=3 if kind == "student_t" else None)
         pts = sample_marginal(spec, n, seed=400 + trial) * scale
         brute, _ = brute_force_max_fourth_moment(pts, seed=trial)
-        value, _, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
+        value, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
         assert sol.optimal
         worst = max(worst, brute - value)
     report(4, "SOS relaxation dominates brute-force maximum (50 datasets)",

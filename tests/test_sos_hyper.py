@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,40 +6,53 @@ import pytest
 
 from halftest import testers
 from halftest.distributions import MarginalSpec, sample_marginal
-from halftest.oracle import brute_force_max_fourth_moment
+from halftest.oracle import brute_force_max_fourth_moment, fourth_moment_tensor
 from halftest.sdp import SdpSolution
 from halftest.sos_hyper import (build_degree4_relaxation,
-                                empirical_fourth_moment_tensor, multiplicity,
-                                solve_relaxation, sorted_multisets)
+                                empirical_fourth_moment_tensor, solve_relaxation)
 from halftest.testers import hypercontractivity_test
 
 
+def _pair_index(d):
+    """(d, d) map from an index pair to its position in the pair basis."""
+    index = np.empty((d, d), dtype=int)
+    pi, pj = np.triu_indices(d)
+    index[pi, pj] = index[pj, pi] = np.arange(len(pi))
+    return index
+
+
+def _entry(c, i, j, k, l):
+    """E[x_i x_j x_k x_l] read off the pair-moment matrix at ((i,j), (k,l))."""
+    d = (math.isqrt(8 * c.shape[0] + 1) - 1) // 2
+    index = _pair_index(d)
+    return c[index[i, j], index[k, l]] / ((1 if i == j else 2) * (1 if k == l else 2))
+
+
 def test_tensor_single_point():
-    t = empirical_fourth_moment_tensor(np.array([[1.0, 0.0]]))
-    assert t.entry(0, 0, 0, 0) == 1.0
-    assert t.entry(1, 1, 1, 1) == 0.0
-    assert t.entry(0, 0, 1, 1) == 0.0
+    c = empirical_fourth_moment_tensor(np.array([[1.0, 0.0]]))
+    assert _entry(c, 0, 0, 0, 0) == 1.0
+    assert _entry(c, 1, 1, 1, 1) == 0.0
+    assert _entry(c, 0, 0, 1, 1) == 0.0
 
 
 def test_tensor_three_points():
     pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    t = empirical_fourth_moment_tensor(pts)
-    assert abs(t.entry(0, 0, 0, 0) - 2.0 / 3.0) < 1e-15
-    assert abs(t.entry(1, 1, 1, 1) - 1.0 / 3.0) < 1e-15
-    assert t.entry(0, 1, 0, 1) == 0.0
+    c = empirical_fourth_moment_tensor(pts)
+    assert abs(_entry(c, 0, 0, 0, 0) - 2.0 / 3.0) < 1e-15
+    assert abs(_entry(c, 1, 1, 1, 1) - 1.0 / 3.0) < 1e-15
+    assert _entry(c, 0, 1, 0, 1) == 0.0
 
 
 def test_tensor_gaussian_moments():
     pts = sample_marginal(MarginalSpec("standard_gaussian", 2), 100_000, seed=21)
-    t = empirical_fourth_moment_tensor(pts)
-    assert abs(t.entry(0, 0, 0, 0) - 3.0) < 0.15
-    assert abs(t.entry(0, 0, 1, 1) - 1.0) < 0.1
+    c = empirical_fourth_moment_tensor(pts)
+    assert abs(_entry(c, 0, 0, 0, 0) - 3.0) < 0.15
+    assert abs(_entry(c, 0, 0, 1, 1) - 1.0) < 0.1
 
 
 def test_tensor_permutation_symmetry():
     pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 50, seed=22)
-    t = empirical_fourth_moment_tensor(pts)
-    dense = t.dense()
+    dense = fourth_moment_tensor(pts)
     assert np.allclose(dense, np.transpose(dense, (1, 0, 2, 3)))
     assert np.allclose(dense, np.transpose(dense, (3, 2, 1, 0)))
     assert np.allclose(dense, np.transpose(dense, (2, 3, 0, 1)))
@@ -46,32 +60,75 @@ def test_tensor_permutation_symmetry():
 
 def test_tensor_matches_sample_mean():
     pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 40, seed=23)
-    t = empirical_fourth_moment_tensor(pts)
+    c = empirical_fourth_moment_tensor(pts)
     direct = np.mean(pts[:, 0] * pts[:, 1] ** 2 * pts[:, 2])
-    assert abs(t.entry(0, 1, 1, 2) - direct) < 1e-15
+    assert abs(_entry(c, 0, 1, 1, 2) - direct) < 1e-15
+
+
+@pytest.mark.parametrize("spec", [MarginalSpec("standard_gaussian", 5),
+                                  MarginalSpec("student_t", 4, nu=3)])
+def test_pair_moments_give_directional_fourth_moments(spec):
+    # psi(v)^T C psi(v) = E[<v,x>^4] for psi(v) = (v_i v_j)_{i<=j}, and the
+    # true moments psi psi^T satisfy every row of the relaxation
+    pts = sample_marginal(spec, 2000, seed=32)
+    c = empirical_fourth_moment_tensor(pts)
+    prob = build_degree4_relaxation(c)
+    rng = np.random.default_rng(32)
+    pi, pj = np.triu_indices(spec.dim)
+    for _ in range(10):
+        v = rng.standard_normal(spec.dim)
+        v /= np.linalg.norm(v)
+        psi = v[pi] * v[pj]
+        expected = np.mean((pts @ v) ** 4)
+        assert abs(psi @ c @ psi - expected) <= 1e-12 * expected
+        rows = np.tensordot(prob.constraints, np.outer(psi, psi))
+        assert np.max(np.abs(rows - prob.b)) <= 1e-14
+
+
+def test_rows_match_a_loop_over_gram_positions():
+    # reference: the normalization row, then one row M[a, b] - M[first] = 0
+    # for every Gram position (a, b), a <= b, whose quartic appeared earlier
+    for d in (1, 2, 3, 5):
+        pairs = list(zip(*np.triu_indices(d)))
+        n = len(pairs)
+        squares = np.array([i == j for i, j in pairs], dtype=float)
+        expected, first = [np.outer(squares, squares)], {}
+        for a in range(n):
+            for b in range(a, n):
+                fa, fb = first.setdefault(tuple(sorted(pairs[a] + pairs[b])), (a, b))
+                if (fa, fb) != (a, b):
+                    row = np.zeros((n, n))
+                    row[a, b] += 0.5
+                    row[b, a] += 0.5
+                    row[fa, fb] -= 0.5
+                    row[fb, fa] -= 0.5
+                    expected.append(row)
+        prob = build_degree4_relaxation(np.eye(n))
+        assert np.array_equal(prob.constraints, expected)
+        assert np.array_equal(prob.b, [1.0] + [0.0] * (len(expected) - 1))
 
 
 def test_relaxation_dimension_one_collapse():
     pts = np.array([[2.0], [1.0], [-1.0]])
-    t = empirical_fourth_moment_tensor(pts)
-    value, pm, sol = solve_relaxation(t)
+    c = empirical_fourth_moment_tensor(pts)
+    value, sol = solve_relaxation(c)
     assert sol.optimal
-    assert abs(value - t.entry(0, 0, 0, 0)) < 1e-6
+    assert abs(value - c[0, 0]) < 1e-6
 
 
 def test_relaxation_dominates_true_maximum():
     pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    value, _, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
+    value, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
     assert sol.optimal
     assert value >= 2.0 / 3.0 - 1e-6
 
 
 def test_relaxation_scaling():
     pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 200, seed=24)
-    t = empirical_fourth_moment_tensor(pts)
-    base, _, _ = solve_relaxation(t)
+    c = empirical_fourth_moment_tensor(pts)
+    base, _ = solve_relaxation(c)
     for s in (0.5, 4.0):
-        scaled, _, _ = solve_relaxation(t.scaled(s))
+        scaled, _ = solve_relaxation(s * c)
         assert abs(scaled - s * base) <= 1e-5 * max(1.0, s * base)
 
 
@@ -79,8 +136,8 @@ def test_relaxation_rotation_invariance():
     rng = np.random.default_rng(25)
     pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 300, seed=25)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    a, _, _ = solve_relaxation(empirical_fourth_moment_tensor(pts))
-    b, _, _ = solve_relaxation(empirical_fourth_moment_tensor(pts @ q.T))
+    a, _ = solve_relaxation(empirical_fourth_moment_tensor(pts))
+    b, _ = solve_relaxation(empirical_fourth_moment_tensor(pts @ q.T))
     assert abs(a - b) <= 1e-5 * max(1.0, abs(a))
 
 
@@ -104,16 +161,16 @@ def test_problem_shape_and_constraint_kinds():
     for seed, (make_points, expected) in enumerate(FIXED_VALUES):
         pts = make_points()
         d = pts.shape[1]
-        t = empirical_fourth_moment_tensor(pts)
-        prob = build_degree4_relaxation(t)
+        c = empirical_fourth_moment_tensor(pts)
+        prob = build_degree4_relaxation(c)
         pairs = d * (d + 1) // 2
         assert prob.n == pairs
-        rhs = [b for _, b in prob.constraints]
+        rhs = list(prob.b)
         # one normalization row; one consistency row per repeated quartic position
         assert rhs.count(1.0) == 1
         assert rhs.count(0.0) == len(rhs) - 1
         assert len(rhs) - 1 == pairs * (pairs + 1) // 2 - math.comb(d + 3, 4)
-        value, _, sol = solve_relaxation(t)
+        value, sol = solve_relaxation(c)
         assert sol.optimal
         assert abs(value - expected) <= 1e-7 * abs(expected)
         brute, _ = brute_force_max_fourth_moment(pts, seed=seed)
@@ -122,23 +179,21 @@ def test_problem_shape_and_constraint_kinds():
 
 def test_pseudo_moment_matrix_invariants():
     pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 500, seed=26)
-    t = empirical_fourth_moment_tensor(pts)
-    value, pm, sol = solve_relaxation(t)
+    value, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
     assert sol.optimal
-    m = pm.matrix
+    m = sol.X
     # psd within solver tolerance
     assert np.linalg.eigvalsh(m)[0] >= -1e-6
+    # pseudo-moments Etilde[v_i v_j v_k v_l], read at the position ((i,j), (k,l))
+    index = _pair_index(3)
+    moments = m[index[:, :, None, None], index[None, None, :, :]]
     # normalization sum_ij E[v_i^2 v_j^2] = 1
-    norm = sum(pm.expectation((i, i, j, j)) for i in range(3) for j in range(3))
-    assert abs(norm - 1.0) <= 1e-6
-    # moment consistency: every position naming a quartic holds its value
-    pairs = sorted_multisets(3, 2)
-    for a, pa in enumerate(pairs):
-        for b, pb in enumerate(pairs):
-            assert abs(m[a, b] - pm.expectation(pa + pb)) <= 1e-6
-    # objective value consistency
-    recomputed = sum(t.values[pos] * multiplicity(ms) * pm.expectation(ms)
-                     for pos, ms in enumerate(sorted_multisets(3, 4)))
+    assert abs(np.einsum("iijj->", moments) - 1.0) <= 1e-6
+    # moment consistency: every position naming a quartic holds one value
+    for perm in itertools.permutations(range(4)):
+        assert np.max(np.abs(moments - np.transpose(moments, perm))) <= 1e-6
+    # objective value consistency, against the oracle's dense tensor
+    recomputed = np.sum(fourth_moment_tensor(pts) * moments)
     assert abs(recomputed - value) <= 1e-6
 
 
@@ -149,7 +204,7 @@ def test_relaxation_dominance_random(seed):
     n = int(rng.integers(5, 200))
     pts = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0)
     brute, _ = brute_force_max_fourth_moment(pts, seed=seed)
-    value, _, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
+    value, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
     assert sol.optimal
     assert value >= brute - 1e-5
 
@@ -209,7 +264,7 @@ def test_hypercontractivity_solver_errors(monkeypatch):
         sol = SdpSolution(X=np.zeros((1, 1)), value=value, dual_value=value,
                           status=status)
         monkeypatch.setattr(testers, "solve_relaxation",
-                            lambda *args, sol=sol, **kwargs: (sol.value, None, sol))
+                            lambda *args, sol=sol, **kwargs: (sol.value, sol))
         verdict = hypercontractivity_test(pts, 1.0, 10.0)
         assert not verdict.accepted
         assert verdict.diagnostics["solver_failure"] == failure
