@@ -33,7 +33,7 @@ from .distributions import (Dataset, MarginalSpec, NoiseModel, empirical_error,
 from .errors import HalftestError
 from .learner import (FixedDatasetSource, LearnerConfig, SyntheticSource,
                       universal_tester_learner)
-from .numerics import unit
+from .numerics import householder_basis, unit
 from .oracle import (brute_force_max_fourth_moment, erm_halfspace,
                      finite_difference_gradient, gaussian_strip_stats,
                      structural_check)
@@ -181,12 +181,7 @@ def cmd_sample(args) -> int:
     points = sample_marginal(marginal, n, seed)
     noise = noise_from_config(cfg.get("noise", {"kind": "clean"}), marginal.dim)
     ds = label_dataset(points, noise, seed)
-    try:
-        data = to_csv(ds) if str(out).endswith(".csv") else to_binary(ds)
-        atomic_write(out, data)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    atomic_write(out, to_csv(ds) if str(out).endswith(".csv") else to_binary(ds))
     return EXIT_ACCEPT
 
 
@@ -220,27 +215,20 @@ def _run_tester(ds: Dataset, cfg: dict):
 
 def cmd_test(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        ds = load_dataset(args.dataset)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    ds = load_dataset(args.dataset)
     result = _run_tester(ds, cfg)
     tc = tester_from_config(cfg.get("tester_config", {}))
     if isinstance(result, dict):
-        body = {"result": result, "constants": resolved_constants(tc)}
-        text = _report(cfg, body)
-        print(text, end="")
-        if args.out:
-            atomic_write(args.out, text)
-        return EXIT_ACCEPT
-    body = {"accepted": result.accepted, "diagnostics": result.diagnostics,
-            "constants": resolved_constants(tc)}
+        body, code = {"result": result}, EXIT_ACCEPT
+    else:
+        body = {"accepted": result.accepted, "diagnostics": result.diagnostics}
+        code = EXIT_ACCEPT if result.accepted else EXIT_REJECT
+    body["constants"] = resolved_constants(tc)
     text = _report(cfg, body)
     print(text, end="")
     if args.out:
         atomic_write(args.out, text)
-    return EXIT_ACCEPT if result.accepted else EXIT_REJECT
+    return code
 
 
 def _learn_trial(payload) -> dict:
@@ -284,26 +272,22 @@ def cmd_learn(args) -> int:
             results = list(pool.map(_learn_trial, payloads))
 
     tc = tester_from_config(cfg["learner"].get("tester", {}))
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        rows = []
-        for i, res in enumerate(results):
-            rec = res["record"]
-            text = _report(cfg, {"trial": i, "outcome": rec,
-                                 "constants": resolved_constants(tc)})
-            atomic_write(os.path.join(out_dir, f"trial_{i:03d}.json"), text)
-            rows.append([i, int(rec["status"] == "accepted"),
-                         rec["empirical_error"] if rec["empirical_error"] is not None else "",
-                         rec["sigma_used"] if rec["sigma_used"] is not None else "",
-                         f"{res['wall_time']:.3f}"])
-        buf = []
-        buf.append("trial,accepted,error,sigma,wall_time")
-        for row in rows:
-            buf.append(",".join(str(v) for v in row))
-        atomic_write(os.path.join(out_dir, "aggregate.csv"), "\n".join(buf) + "\n")
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    for i, res in enumerate(results):
+        rec = res["record"]
+        text = _report(cfg, {"trial": i, "outcome": rec,
+                             "constants": resolved_constants(tc)})
+        atomic_write(os.path.join(out_dir, f"trial_{i:03d}.json"), text)
+        rows.append([i, int(rec["status"] == "accepted"),
+                     rec["empirical_error"] if rec["empirical_error"] is not None else "",
+                     rec["sigma_used"] if rec["sigma_used"] is not None else "",
+                     f"{res['wall_time']:.3f}"])
+    buf = []
+    buf.append("trial,accepted,error,sigma,wall_time")
+    for row in rows:
+        buf.append(",".join(str(v) for v in row))
+    atomic_write(os.path.join(out_dir, "aggregate.csv"), "\n".join(buf) + "\n")
     accept_rate = sum(r["record"]["status"] == "accepted" for r in results) / len(results)
     print(json.dumps({"trials": len(results), "accept_rate": accept_rate}))
     if len(results) == 1:
@@ -361,26 +345,19 @@ def _oracle_report(ds: Dataset, cfg: dict) -> dict:
     offset = float(cfg.get("offset", 0.3))
     gen = rng.stream(seed, rng.STREAM_ORACLE + 5)
     w = rng.unit_sphere(gen, ds.dim)
-    from .numerics import householder_basis
     v = householder_basis(w)[0]
     analytic = gaussian_strip_stats(sigma, offset, uu_inner=float(w @ v))
     xw = ds.points @ w
     xv = ds.points @ v
-    n = ds.n
-    emp = {
-        "strip_probability": float(np.mean(np.abs(xw) <= sigma)),
-        "strip_second_moment": float(np.mean(xv**2 * (np.abs(xw) <= sigma))),
-        "cross_fourth_moment": float(np.mean(xw**2 * xv**2)),
-        "offset_strip_second_moment": float(np.mean(
-            xv**2 * ((np.abs(xw) >= offset) & (np.abs(xw) <= offset + sigma)))),
+    samples = {
+        "strip_probability": np.abs(xw) <= sigma,
+        "strip_second_moment": xv**2 * (np.abs(xw) <= sigma),
+        "cross_fourth_moment": xw**2 * xv**2,
+        "offset_strip_second_moment":
+            xv**2 * ((np.abs(xw) >= offset) & (np.abs(xw) <= offset + sigma)),
     }
-    ses = {
-        "strip_probability": float(np.std(np.abs(xw) <= sigma) / math.sqrt(n)),
-        "strip_second_moment": float(np.std(xv**2 * (np.abs(xw) <= sigma)) / math.sqrt(n)),
-        "cross_fourth_moment": float(np.std(xw**2 * xv**2) / math.sqrt(n)),
-        "offset_strip_second_moment": float(np.std(
-            xv**2 * ((np.abs(xw) >= offset) & (np.abs(xw) <= offset + sigma))) / math.sqrt(n)),
-    }
+    emp = {key: float(np.mean(s)) for key, s in samples.items()}
+    ses = {key: float(np.std(s) / math.sqrt(ds.n)) for key, s in samples.items()}
     checks = {key: bool(abs(emp[key] - analytic[key]) <= 3.0 * max(ses[key], 1e-12))
               for key in emp}
     return {"check": check, "sigma": sigma, "offset": offset,
@@ -391,11 +368,7 @@ def _oracle_report(ds: Dataset, cfg: dict) -> dict:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        ds = load_dataset(args.dataset)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    ds = load_dataset(args.dataset)
     report = _oracle_report(ds, cfg)
     text = _report(cfg, report)
     print(text, end="")

@@ -3,10 +3,19 @@
 Solves  maximize <C, X>  s.t.  <A_i, X> = b_i,  X >= 0  (psd)
 
 with a primal-dual path-following interior-point method using
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step; one dense
-solve of the Schur complement per iteration serves both steps.  Problem
+Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  Problem
 sizes here are tiny (matrix dimension tens, constraints hundreds), so
 everything is dense float64.
+
+Each iteration works in the NT-scaled space.  With L = chol(X) and
+L^T S L = U diag(lam) U^T, the matrix R = L U diag(lam)^(-1/4) maps X and S
+to the same diagonal matrix diag(v), v = lam^(1/2), and each constraint to
+A~_i = R^T A_i R (R R^T is the NT scaling point W, with W S W = X).  The
+Schur matrix is the Gram matrix A~ A~^T, one solve of it serves the
+predictor and the corrector, and each step length is one eigvalsh of a
+direction scaled by diag(v)^(-1/2).  An iteration factors one Cholesky of X,
+one eigh, one Cholesky (the definiteness check) and one solve of the Schur
+matrix, and four eigvalsh; S is never inverted.
 
 The dual is  minimize b^T y  s.t.  S = sum_i y_i A_i - C >= 0, and an
 ``optimal`` solution certifies a duality gap below the requested tolerance.
@@ -41,7 +50,8 @@ DEFAULT_MAX_ITER = 500
 class SdpProblem:
     """maximize <objective, X> subject to <constraints[i], X> = b[i], X psd.
 
-    ``constraints`` is one (m, n, n) stack, symmetrized on construction.
+    ``constraints`` is one (m, n, n) stack; a stack that is not exactly
+    symmetric is replaced by its symmetrized copy on construction.
     """
 
     n: int
@@ -58,7 +68,9 @@ class SdpProblem:
             a = a.reshape(0, self.n, self.n)
         if a.ndim != 3 or a.shape[1:] != (self.n, self.n):
             raise ValueError("constraints must be an (m, n, n) array")
-        self.constraints = (a + a.transpose(0, 2, 1)) / 2.0
+        if not np.array_equal(a, a.transpose(0, 2, 1)):
+            a = (a + a.transpose(0, 2, 1)) / 2.0
+        self.constraints = a
         self.b = check_finite(np.asarray(self.b, dtype=float))
         if self.b.shape != (len(a),):
             raise ValueError("b must have one entry per constraint")
@@ -105,37 +117,38 @@ def _presolve(problem: SdpProblem):
     return np.tensordot(coeff, a, axes=1), coeff @ b, None
 
 
-def _max_step(mat: np.ndarray, dmat: np.ndarray) -> float:
-    """Largest alpha with mat + alpha*dmat psd (mat is pd)."""
-    try:
-        l = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        # nudge onto the pd cone
-        w = np.linalg.eigvalsh(mat)
-        l = np.linalg.cholesky(mat + (abs(w[0]) + 1e-12) * np.eye(mat.shape[0]))
-    linv_d = np.linalg.solve(l, np.linalg.solve(l, dmat.T).T)
-    lam_min = np.linalg.eigvalsh(symmetrize(linv_d))[0]
+def _max_step(v: np.ndarray, d: np.ndarray) -> float:
+    """Largest alpha with diag(v) + alpha*d psd (v > 0)."""
+    r = 1.0 / np.sqrt(v)
+    lam_min = np.linalg.eigvalsh(r[:, None] * d * r)[0]
     if lam_min >= -1e-14:
         return math.inf
     return -1.0 / lam_min
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """W pd with W S W = X."""
+def _nt_scaling(x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, v) with R^-1 X R^-T = R^T S R = diag(v).
+
+    R R^T is the NT scaling point W (W S W = X).  Raises LinAlgError when
+    X or S is not positive definite.
+    """
     l = np.linalg.cholesky(x)
     lam, u = np.linalg.eigh(symmetrize(l.T @ s @ l))
-    lam = np.maximum(lam, 1e-300)
-    g = l @ u
-    return symmetrize((g * lam**-0.5) @ g.T)
+    if lam[0] <= 0.0:
+        raise np.linalg.LinAlgError("S is not positive definite")
+    v = np.sqrt(lam)
+    return (l @ u) / np.sqrt(v), v
 
 
 def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
               max_iterations: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Interior-point solve; ``optimal`` certifies gap <= tol and feasibility
     within TOL_FEAS / TOL_PSD.  A step that breaks down numerically ends the
-    solve with the current iterate and status MAX_ITERATIONS."""
+    solve with the iterate it started from and status MAX_ITERATIONS."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be positive")
     n = problem.n
     a, b, bad = _presolve(problem)
     if bad == INFEASIBLE:
@@ -165,8 +178,10 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     s = rho_d * np.eye(n)
     y = np.zeros(m)
 
-    best = SdpSolution(X=np.zeros((n, n)), value=0.0, dual_value=0.0,
-                       status=MAX_ITERATIONS)
+    # A_i R and the scaled constraints R^T A_i R, rewritten every iteration
+    ar = np.empty_like(a)
+    at = np.empty_like(a)
+    at_flat = at.reshape(m, n * n)
     for it in range(1, max_iterations + 1):
         mu = float(np.tensordot(x, s) / n)
         r_p = b - a_flat @ x.ravel()
@@ -178,54 +193,56 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         feas_p = np.linalg.norm(r_p) / norm_b
         feas_d = np.linalg.norm(r_d) / norm_c
         if rel_gap <= tol and feas_p <= TOL_FEAS and feas_d <= TOL_FEAS:
-            return SdpSolution(X=symmetrize(x), value=pobj, dual_value=dobj,
+            return SdpSolution(X=x, value=pobj, dual_value=dobj,
                                status=OPTIMAL, gap=max(gap, 0.0), iterations=it)
         if (np.linalg.norm(y) > 1e12 * norm_b or not np.isfinite(mu)
                 or mu > 1e14 or abs(pobj) > 1e13 * norm_c):
             # diverging dual (primal infeasible) or diverging primal value
             # (dual infeasible / primal unbounded)
-            return SdpSolution(X=symmetrize(x), value=pobj, dual_value=dobj,
+            return SdpSolution(X=x, value=pobj, dual_value=dobj,
                                status=INFEASIBLE, gap=gap, iterations=it)
-        best = SdpSolution(X=symmetrize(x), value=pobj, dual_value=dobj,
-                           status=MAX_ITERATIONS, gap=gap, iterations=it)
+        if it == max_iterations:
+            break
         try:
-            w = _nt_scaling(x, s)
-            wa = np.array([w @ ai @ w for ai in a])
-            schur = a_flat @ wa.reshape(m, n * n).T
-            schur = (schur + schur.T) / 2.0
-            schur += 1e-14 * np.trace(schur) / m * np.eye(m)
+            # Newton system in the scaled space:  dX~ + dS~ = rc~,
+            # A~(dX~) = r_p,  A~^T(dy) - dS~ = R^T r_d R.  With
+            # rc~ = sigma mu / v - v its Schur right-hand side is
+            # A~(R^T r_d R) - b + sigma mu A~(diag(1/v)), affine in sigma mu,
+            # so one solve serves both steps (A~(diag(1/v)) = A(S^-1)).
+            r, v = _nt_scaling(x, s)
+            np.matmul(r.T, np.matmul(a, r, out=ar), out=at)
+            schur = at_flat @ at_flat.T
+            schur.flat[::m + 1] += 1e-14 * np.trace(schur) / m
             np.linalg.cholesky(schur)  # positive definiteness check only
-
-            # dX + W dS W = rc;  A(dX) = r_p;  A^T(dy) - dS = r_d.  The Schur
-            # right-hand side A(rc) - r_p + A(W r_d W) is affine in
-            # rc = sigma mu S^-1 - X, so one solve serves both steps.
-            s_inv = symmetrize(np.linalg.inv(s))
+            rd_t = r.T @ r_d @ r
             dy_aff, dy_cen = np.linalg.solve(schur, np.column_stack([
-                -(a_flat @ x.ravel()) - r_p + a_flat @ (w @ r_d @ w).ravel(),
-                a_flat @ s_inv.ravel()])).T
+                at_flat @ rd_t.ravel() - b,
+                np.diagonal(at, axis1=1, axis2=2) @ (1.0 / v)])).T
 
             def newton_step(rc, dy):
-                ds = symmetrize(np.tensordot(dy, a, axes=1) - r_d)
-                return symmetrize(rc - w @ ds @ w), ds
+                ds = symmetrize((dy @ at_flat).reshape(n, n) - rd_t)
+                return np.diag(rc) - ds, ds
 
             # predictor (affine scaling)
-            dx_a, ds_a = newton_step(-x, dy_aff)
-            ap = min(1.0, 0.98 * _max_step(x, dx_a))
-            ad = min(1.0, 0.98 * _max_step(s, ds_a))
-            mu_aff = float(np.tensordot(x + ap * dx_a, s + ad * ds_a) / n)
+            dx_a, ds_a = newton_step(-v, dy_aff)
+            ap = min(1.0, 0.98 * _max_step(v, dx_a))
+            ad = min(1.0, 0.98 * _max_step(v, ds_a))
+            # <X, S> is invariant under the scaling
+            mu_aff = float(np.tensordot(np.diag(v) + ap * dx_a,
+                                        np.diag(v) + ad * ds_a) / n)
             sigma = min(1.0, max(0.0, (mu_aff / mu))) ** 3
 
             # corrector with centering
             dy = dy_aff + sigma * mu * dy_cen
-            dx, ds = newton_step(sigma * mu * s_inv - x, dy)
-            ap = min(1.0, 0.98 * _max_step(x, dx))
-            ad = min(1.0, 0.98 * _max_step(s, ds))
-            x = symmetrize(x + ap * dx)
-            y = y + ad * dy
-            s = symmetrize(s + ad * ds)
+            dx, ds = newton_step(sigma * mu / v - v, dy)
+            ap = min(1.0, 0.98 * _max_step(v, dx))
+            ad = min(1.0, 0.98 * _max_step(v, ds))
+            x, y, s = (symmetrize(x + ap * (r @ dx @ r.T)), y + ad * dy,
+                       symmetrize(s + ad * (np.tensordot(dy, a, axes=1) - r_d)))
         except (np.linalg.LinAlgError, NonFiniteError):
-            return best
-    return best
+            break
+    return SdpSolution(X=x, value=pobj, dual_value=dobj,
+                       status=MAX_ITERATIONS, gap=gap, iterations=it)
 
 
 def check_solution(problem: SdpProblem, sol: SdpSolution,

@@ -241,6 +241,29 @@ def test_output_path_checked_before_work(tmp_path, monkeypatch):
     assert main(["sample", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command", ["sample", "test", "learn"])
+def test_output_below_a_regular_file_is_an_io_error(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    if command == "sample":
+        cfg = write_config(tmp_path, "c.json", {
+            "marginal": {"kind": "standard_gaussian", "dim": 2}, "n": 10})
+        argv = ["sample", "--config", cfg, "--out", out + ".csv"]
+    elif command == "test":
+        data = tmp_path / "d.csv"
+        data.write_text(TINY_CSV)
+        argv = ["test", str(data), "--config",
+                write_config(tmp_path, "c.json", STRIP_CFG), "--out", out]
+    else:
+        argv = ["learn", "--config", write_config(tmp_path, "c.json", LEARN_CFG),
+                "--out", out]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error:")
+    assert "Traceback" not in err
+
+
 def test_oracle_fourth_moment(tmp_path):
     rows = ["x1,x2,y", "1.0,0.0,1", "1.0,0.0,1", "0.0,1.0,1"]
     path = tmp_path / "tiny.csv"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from halftest.numerics import sym_eigendecompose
-from halftest.sdp import (INFEASIBLE, MAX_ITERATIONS, OPTIMAL, SdpProblem, _presolve,
-                          check_solution, solve_sdp)
+from halftest.sdp import (INFEASIBLE, MAX_ITERATIONS, OPTIMAL, SdpProblem, _max_step,
+                          _nt_scaling, _presolve, check_solution, solve_sdp)
 from halftest.sos_hyper import (build_degree4_relaxation,
                                 empirical_fourth_moment_tensor)
 
@@ -133,6 +133,17 @@ def test_presolve_reduces_only_dependent_rows():
     assert np.allclose(np.tensordot(a, x), b)
 
 
+def test_constraint_stack_copied_only_when_not_symmetric():
+    rng = np.random.default_rng(13)
+    sym = np.stack([np.eye(3), _random_sym(rng, 3)])
+    prob = SdpProblem(n=3, objective=np.eye(3), constraints=sym, b=[1.0, 0.0])
+    assert prob.constraints is sym
+    skew = sym.copy()
+    skew[1, 0, 2] += 1.0
+    prob = SdpProblem(n=3, objective=np.eye(3), constraints=skew, b=[1.0, 0.0])
+    assert np.array_equal(prob.constraints, (skew + skew.transpose(0, 2, 1)) / 2)
+
+
 def test_unbounded_reported_infeasible_dual():
     # no constraints and an objective with positive eigenvalue: unbounded above
     prob = SdpProblem(n=2, objective=np.eye(2), constraints=[], b=[])
@@ -143,12 +154,27 @@ def test_tolerance_validation():
     prob = SdpProblem(n=2, objective=np.eye(2), constraints=[np.eye(2)], b=[1.0])
     with pytest.raises(ValueError):
         solve_sdp(prob, tol=0.0)
+    with pytest.raises(ValueError):
+        solve_sdp(prob, max_iterations=0)
+
+
+def test_iteration_cap_returns_the_iterate_it_reports():
+    pts = np.random.default_rng(14).standard_normal((100, 3))
+    prob = build_degree4_relaxation(empirical_fourth_moment_tensor(pts))
+    for cap in range(1, 6):
+        sol = solve_sdp(prob, max_iterations=cap)
+        assert sol.status == MAX_ITERATIONS and sol.iterations == cap
+        assert sol.value == float(np.tensordot(prob.objective, sol.X))
 
 
 def test_numerical_breakdown_ends_with_a_status():
-    # Draws of well-posed problems on which a Newton step breaks down: a
-    # singular S (draws 11 and 88) and an overflowing Schur complement
-    # (draw 153).  The solve must end with a status instead of raising.
+    # Draws of well-posed problems whose iterates grow ill-conditioned (X and
+    # S with condition numbers near 1e16).  Draw 153 overflows the Schur
+    # complement, and a Newton step of draw 88 breaks down; the solve must end
+    # with a status instead of raising.  Draw 11 broke down when S was
+    # inverted; with no inverse it converges at its tenth iteration, with a
+    # relative gap of 0.98e-8 against the 1e-8 tolerance, so a change to
+    # the solver's rounding can move it.
     rng = np.random.default_rng(7)
     problems = []
     for _ in range(154):
@@ -159,8 +185,82 @@ def test_numerical_breakdown_ends_with_a_status():
         mats = [np.eye(n)] + [_random_sym(rng, n) for _ in range(m)]
         problems.append(SdpProblem(n=n, objective=_random_sym(rng, n), constraints=mats,
                                    b=[float(np.tensordot(a, x0)) for a in mats]))
-    for draw in (11, 88, 153):
+    sol = solve_sdp(problems[11])
+    assert sol.optimal
+    assert check_solution(problems[11], sol)
+    for draw in (88, 153):
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_sdp(problems[draw])
         assert sol.status in (OPTIMAL, INFEASIBLE, MAX_ITERATIONS)
         assert not sol.optimal or check_solution(problems[draw], sol)
+
+
+def _random_pd(rng, n, spread):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.logspace(0, spread, n)) @ q.T
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nt_scaling_maps_x_and_s_to_one_diagonal(seed):
+    rng = np.random.default_rng(200 + seed)
+    n = int(rng.integers(2, 12))
+    x, s = _random_pd(rng, n, 3.0), _random_pd(rng, n, 3.0)
+    r, v = _nt_scaling(x, s)
+    r_inv = np.linalg.inv(r)
+    w = r @ r.T
+    assert np.all(v > 0)
+    assert np.linalg.norm(w @ s @ w - x) <= 1e-10 * np.linalg.norm(x)
+    for scaled in (r_inv @ x @ r_inv.T, r.T @ s @ r):
+        assert np.linalg.norm(scaled - np.diag(v)) <= 1e-10 * np.linalg.norm(v)
+    # the Schur matrix of the scaled rows is a Gram product, exactly symmetric
+    rows = (r.T @ np.stack([_random_sym(rng, n) for _ in range(7)]) @ r).reshape(7, -1)
+    schur = rows @ rows.T
+    assert np.array_equal(schur, schur.T)
+
+
+def test_nt_scaling_rejects_indefinite_s():
+    rng = np.random.default_rng(210)
+    x = _random_pd(rng, 4, 1.0)
+    s = _random_pd(rng, 4, 1.0) - 20.0 * np.outer(np.ones(4), np.ones(4))
+    with pytest.raises(np.linalg.LinAlgError):
+        _nt_scaling(x, s)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_max_step_reaches_the_cone_boundary(seed):
+    rng = np.random.default_rng(220 + seed)
+    n = int(rng.integers(2, 10))
+    v = np.logspace(-3, 1, n)
+    rng.shuffle(v)
+    d = _random_sym(rng, n)
+    alpha = _max_step(v, d)
+    assert 0 < alpha < np.inf
+    assert abs(np.linalg.eigvalsh(np.diag(v) + alpha * d)[0]) <= 1e-12 * alpha * np.linalg.norm(d)
+    assert np.linalg.eigvalsh(np.diag(v) + 0.99 * alpha * d)[0] > 0
+    g = rng.standard_normal((n, n))
+    assert _max_step(v, g @ g.T) == np.inf
+    assert _max_step(v, np.zeros((n, n))) == np.inf
+
+
+def test_one_factorization_per_iteration(monkeypatch):
+    # An iteration that takes a step factors X (Cholesky), L^T S L (eigh) and
+    # the Schur matrix (Cholesky, solve), and takes four eigvalsh for the
+    # step lengths; presolve adds one eigh.  S is never inverted.
+    calls = {}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("cholesky", "eigh", "eigvalsh", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    pts = np.random.default_rng(12).standard_normal((200, 3))
+    sol = solve_sdp(build_degree4_relaxation(empirical_fourth_moment_tensor(pts)))
+    steps = sol.iterations - 1
+    assert sol.optimal and steps > 5
+    assert calls == {"cholesky": 2 * steps, "eigh": 1 + steps,
+                     "eigvalsh": 4 * steps, "solve": steps}
