@@ -16,11 +16,17 @@ piece.
 The surrogate loss of a unit vector w on a dataset is the mean of
 ``l_sigma(-y <w, x>)``; its gradient restricted to the sphere is
 ``mean(-l'(|<w,x>|) y (x - <w,x> w))``, which is orthogonal to w.
+
+``surrogate_gradient`` computes it densely.  PSGD and ``gradient_norms``
+sum it as ``<g, w> w - g`` with g = sum l' y x over the band |<w,x>| < sigma/2
+(l' vanishes outside it), so on a line mass along e1 with w = +-e1, g has one
+nonzero coordinate and the sum is exactly 0 in any summation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -78,7 +84,9 @@ def smooth_ramp_derivative(t, p: RampParams):
     """
     sigma = p.sigma
     a = np.abs(np.asarray(t, dtype=float))
-    s = np.clip((a - sigma / 6.0) / (sigma / 3.0), 0.0, 1.0)
+    # the same clip as np.clip, whose Python wrapper costs more than all the
+    # arithmetic on the short in-band slices PSGD and the filter pass
+    s = np.minimum(np.maximum((a - sigma / 6.0) / (sigma / 3.0), 0.0), 1.0)
     out = np.where(a < sigma / 2.0, _hermite_deriv(s) * 3.0 / sigma, 0.0)
     return out if out.ndim else float(out)
 
@@ -106,12 +114,6 @@ def surrogate_gradient(w: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
     return -(weights @ tangents) / ds.n
 
 
-# Iterates per gradient_norms block.  A block shares one reference projection,
-# so its superset of rows grows with how far its iterates spread; PSGD moves
-# most in its first steps, and 64 was the fastest of 32 to 512 on d=5 runs.
-BLOCK = 64
-
-
 def _band_rows(x: np.ndarray, norm_x: np.ndarray, w_ref: np.ndarray,
                radius: float, sigma: float) -> np.ndarray:
     """Ascending indices of a superset of the rows x with |<w, x>| < sigma/2
@@ -135,47 +137,47 @@ def _band_rows(x: np.ndarray, norm_x: np.ndarray, w_ref: np.ndarray,
     return np.flatnonzero(ref < sigma / 2.0 + radius * norm_x + pad)
 
 
+class _Slab:
+    """Rows of (x, y) that can lie in the band |<w,x>| < sigma/2 of the current
+    iterate w: the ``_band_rows`` superset of radius sigma/2 around a reference
+    iterate, rebuilt around w whenever w moves farther than sigma/2 from it."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, sigma: float):
+        self.x, self.y, self.sigma = x, y, sigma
+        self.norm_x = np.linalg.norm(x, axis=1)
+        self.w_ref = None
+
+    def rows(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        half = self.sigma / 2.0
+        if self.w_ref is None or np.linalg.norm(w - self.w_ref) > half:
+            self.w_ref = w
+            rows = _band_rows(self.x, self.norm_x, w, half, self.sigma)
+            self.xr, self.yr = self.x[rows], self.y[rows]
+        return self.xr, self.yr
+
+
+def _band_gradient(xr: np.ndarray, yr: np.ndarray, w: np.ndarray,
+                   p: RampParams) -> np.ndarray:
+    """Sum of -l'(<w,x>) y (x - <w,x> w) over the rows, as <g, w> w - g with
+    g = sum l' y x over the in-band rows (sum l' y <w,x> is <g, w>); an empty
+    band gives g = 0."""
+    proj = xr @ w
+    active = np.flatnonzero(np.abs(proj) < p.sigma / 2.0)
+    g = (smooth_ramp_derivative(proj[active], p) * yr[active]) @ xr[active]
+    return (g @ w) * w - g
+
+
 def gradient_norms(ws: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
     """Norms of surrogate_gradient for a stack of unit vectors (k, d).
 
-    The ramp derivative vanishes outside the slab |<w,x>| < sigma/2, so each
-    block of BLOCK consecutive iterates first prunes the points: with
-    w_ref the block's middle iterate and r the largest distance from it to
-    an iterate of the block, only the rows with
-    |<w_ref,x>| < sigma/2 + r ||x|| + pad can be in any iterate's band
-    (``pad`` bounds the rounding error of the computed projections; see
-    ``_band_rows``).  Only those rows are projected onto the block, and each
-    candidate's in-band terms are summed one at a time over the points in
-    ascending index order, so a radial sum that cancels the tangential one
-    in exact arithmetic (a line mass through w) still gives exactly 0.
+    Walks the iterates in order through one ``_Slab``, so a PSGD trajectory
+    rebuilds its rows where PSGD did, and takes each gradient with
+    ``_band_gradient``; a line mass through w gives exactly 0 (see above).
     """
     ws = np.atleast_2d(np.asarray(ws, dtype=float))
-    k, d = ws.shape
-    out = np.empty(k)
-    x, y = ds.points, ds.labels.astype(float)
-    half = p.sigma / 2.0
-    norm_x = np.linalg.norm(x, axis=1)
-    for start in range(0, k, BLOCK):
-        block = ws[start:start + BLOCK]           # (c, d)
-        c = block.shape[0]
-        w_ref = block[c // 2]
-        radius = float(np.max(np.linalg.norm(block - w_ref, axis=1)))
-        rows = _band_rows(x, norm_x, w_ref, radius, p.sigma)
-        xr = x[rows]
-        proj = xr @ block.T                       # (m, c)
-        flat = np.flatnonzero(np.abs(proj) < half)
-        pts, cand = np.divmod(flat, c)
-        pr = proj.ravel()[flat]
-        wts = smooth_ramp_derivative(pr, p) * y[rows][pts]
-        # np.bincount adds its weights in index order, so every candidate's
-        # sums run over its in-band points in ascending order, one at a time
-        columns = np.ascontiguousarray(xr.T)      # (d, m)
-        tangential = np.stack([np.bincount(cand, weights=columns[j][pts] * wts,
-                                           minlength=c) for j in range(d)], axis=1)
-        radial = np.bincount(cand, weights=wts * pr, minlength=c)
-        grads = radial[:, None] * block - tangential
-        out[start:start + c] = np.linalg.norm(grads, axis=1) / ds.n
-    return out
+    slab = _Slab(ds.points, ds.labels.astype(float), p.sigma)
+    return np.array([np.linalg.norm(_band_gradient(*slab.rows(w), w, p))
+                     for w in ws]) / ds.n
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,10 @@ class PsgdConfig:
             raise ValueError("iterations must be >= 0")
         if self.step_size is not None and self.step_size <= 0:
             raise ValueError("step_size must be positive")
+        b = self.batch_size
+        if b is not None and (isinstance(b, bool) or not isinstance(b, Integral)
+                              or b < 1):
+            raise ValueError("batch_size must be None or an integer >= 1")
 
     def resolved_step(self, sigma: float) -> float:
         if self.step_size is not None:
@@ -212,15 +218,8 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
     Starts at w0 (or a seeded uniform point on the sphere), renormalizes
     exactly after every step, and is deterministic given (cfg.seed, w0).
 
-    Every step takes the sphere gradient from the in-slab rows of its
-    sample, ``(-(sum l' y x) + (sum l' y <w,x>) w) / batch``; the batch is
-    drawn with replacement, or is the whole dataset for full-batch steps.
-    Full-batch steps only project the rows that can lie in the slab: the
-    rows with |<w_ref,x>| < sigma/2 + (sigma/2) ||x|| + pad for a reference
-    iterate w_ref (``pad`` bounds the rounding error of the computed
-    projections; see ``_band_rows``), which contain the band of every w
-    within sigma/2 of w_ref.  The rows are rebuilt around the current
-    iterate whenever it moves farther than sigma/2 from w_ref.
+    Every step takes ``_band_gradient / batch`` over a batch drawn with
+    replacement, or over the rows of a ``_Slab`` for full-batch steps.
     """
     gen = rng.stream(cfg.seed, rng.STREAM_PSGD)
     if w0 is None:
@@ -232,26 +231,14 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
     x, y = ds.points, ds.labels.astype(float)
     full_batch = cfg.batch_size is None or cfg.batch_size >= ds.n
     denom = ds.n if full_batch else cfg.batch_size
-    if full_batch:
-        norm_x = np.linalg.norm(x, axis=1)
-        radius = p.sigma / 2.0
-        w_ref = None
+    slab = _Slab(x, y, p.sigma) if full_batch else None
     for _ in range(cfg.iterations):
-        if not full_batch:
+        if full_batch:
+            xr, yr = slab.rows(w)
+        else:
             rows = gen.integers(0, ds.n, size=cfg.batch_size)
             xr, yr = x[rows], y[rows]
-        elif w_ref is None or np.linalg.norm(w - w_ref) > radius:
-            w_ref = w
-            rows = _band_rows(x, norm_x, w_ref, radius, p.sigma)
-            xr, yr = x[rows], y[rows]
-        proj = xr @ w
-        active = np.flatnonzero(np.abs(proj) < p.sigma / 2.0)
-        if active.size:
-            pr = proj[active]
-            wts = smooth_ramp_derivative(pr, p) * yr[active]
-            grad = (-(wts @ xr[active]) + (wts @ pr) * w) / denom
-        else:
-            grad = np.zeros(ds.dim)
+        grad = _band_gradient(xr, yr, w, p) / denom
         w = unit(w - beta * grad)
         iterates.append(w.copy())
     return iterates

@@ -155,6 +155,14 @@ def test_learn_seeds_validation(tmp_path):
     assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_learn_zero_batch_size_is_a_config_error(tmp_path, capsys):
+    learner = dict(LEARN_CFG["learner"], psgd={"iterations": 50, "batch_size": 0})
+    cfg = write_config(tmp_path, "l.json", dict(LEARN_CFG, learner=learner))
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "batch_size" in err
+
+
 def test_learn_from_dataset_file(tmp_path):
     scfg = write_config(tmp_path, "s.json", {
         "marginal": {"kind": "two_point_mass", "dim": 5, "spread": 10.0},

@@ -7,7 +7,7 @@ from halftest import rng, surrogate
 from halftest.errors import DimMismatchError
 from halftest.numerics import unit
 from halftest.oracle import finite_difference_gradient
-from halftest.surrogate import (BLOCK, PsgdConfig, RampParams, gradient_norms,
+from halftest.surrogate import (PsgdConfig, RampParams, gradient_norms,
                                 psgd, smooth_ramp, smooth_ramp_derivative,
                                 surrogate_gradient, surrogate_loss)
 
@@ -208,21 +208,21 @@ def _direct_norms(ws, ds, p):
 
 
 def test_gradient_norms_spread_iterates():
-    # iterates far apart: every block's superset is the whole sample
+    # iterates far apart: every iterate rebuilds its rows
     sigma = 0.3
     ds = _boundary_dataset(sigma, seed=3)
     rng = np.random.default_rng(4)
-    ws = rng.standard_normal((BLOCK + 40, 4))
+    ws = rng.standard_normal((104, 4))
     ws /= np.linalg.norm(ws, axis=1, keepdims=True)
-    ws[5] = ws[BLOCK + 20] = [1.0, 0.0, 0.0, 0.0]
+    ws[5] = ws[84] = [1.0, 0.0, 0.0, 0.0]
     p = RampParams(sigma)
     np.testing.assert_allclose(gradient_norms(ws, ds, p),
                                _direct_norms(ws, ds, p), rtol=1e-12, atol=0)
 
 
 def test_gradient_norms_clustered_iterates():
-    # iterates within 1e-6 of e1, which is the middle (reference) iterate, so
-    # the superset is a thin slab and the ulp-placed points sit on its edge
+    # iterates within 1e-6 of e1, all served by the rows built around the
+    # first one; e1 itself sees the ulp-placed points on its band's edge
     sigma = 0.3
     ds = _boundary_dataset(sigma, seed=5)
     rng = np.random.default_rng(6)
@@ -265,6 +265,20 @@ def test_gradient_norms_line_mass_exactly_zero():
     assert np.all(gradient_norms(ws, ds, p) == 0.0)
 
 
+def test_minibatch_psgd_line_mass_stays_exactly_on_e1():
+    # every drawn batch of a line mass along e1 gives an exactly zero
+    # gradient at +-e1, so mini-batch PSGD never leaves its start
+    pts = sample_marginal(MarginalSpec("line_mass", 5), 20_000, seed=33)
+    ds = label_dataset(pts, NoiseModel("agnostic", (1.0, 0, 0, 0, 0),
+                                       rule="boundary_flip", width=0.05), seed=33)
+    p = RampParams(0.1)
+    for w0 in (np.eye(5)[0], -np.eye(5)[0]):
+        iterates = psgd(ds, p, PsgdConfig(iterations=200, batch_size=64, seed=8),
+                        w0=w0)
+        assert all(np.array_equal(w, w0) for w in iterates)
+        assert np.all(gradient_norms(np.stack(iterates), ds, p) == 0.0)
+
+
 def _dense_full_batch_psgd(ds, p, beta, w, iterations):
     """Full-batch PSGD projecting every point at every step."""
     x, y = ds.points, ds.labels.astype(float)
@@ -273,8 +287,8 @@ def _dense_full_batch_psgd(ds, p, beta, w, iterations):
         proj = x @ w
         active = np.flatnonzero(np.abs(proj) < p.sigma / 2.0)
         pr = proj[active]
-        wts = smooth_ramp_derivative(np.abs(pr), p) * y[active]
-        grad = (-(wts @ x[active]) + (wts @ pr) * w) / ds.n
+        g = (smooth_ramp_derivative(np.abs(pr), p) * y[active]) @ x[active]
+        grad = ((g @ w) * w - g) / ds.n
         w = unit(w - beta * grad)
         out.append(w.copy())
     return out
@@ -301,6 +315,30 @@ def test_full_batch_psgd_matches_dense_across_rebuilds(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(pruned, dense))
 
 
+def test_gradient_norms_rebuilds_where_psgd_did(monkeypatch):
+    # the filter walks a full-batch trajectory through the same rebuild rule,
+    # so over the iterates PSGD took its steps from it builds as often
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 5), 5000, seed=36)
+    ds = label_dataset(pts, NoiseModel("massart", (1.0, 0, 0, 0, 0), eta=0.2),
+                       seed=36)
+    p = RampParams(0.1)
+    builds = []
+    band_rows = surrogate._band_rows
+
+    def counted(*args):
+        builds.append(1)
+        return band_rows(*args)
+
+    monkeypatch.setattr(surrogate, "_band_rows", counted)
+    cfg = PsgdConfig(iterations=150, step_size=0.1, batch_size=None)
+    iterates = psgd(ds, p, cfg, w0=unit(np.array([0.2, 1.0, -0.5, 0.3, 0.1])))
+    psgd_builds = len(builds)
+    builds.clear()
+    gradient_norms(np.stack(iterates[:-1]), ds, p)
+    assert psgd_builds >= 3
+    assert len(builds) == psgd_builds
+
+
 def test_minibatch_psgd_step_is_the_batch_surrogate_gradient():
     # mini-batch steps share the full-batch formula; each must be one
     # projected step along surrogate_gradient of the rows it drew
@@ -322,6 +360,17 @@ def test_dim_mismatch():
     ds = _dataset([[1.0, 0.0]], [1])
     with pytest.raises(DimMismatchError):
         surrogate_loss(np.array([1.0, 0.0, 0.0]), ds, RampParams(0.1))
+
+
+@pytest.mark.parametrize("batch_size", [0, -3, 2.5, True])
+def test_psgd_config_rejects_bad_batch_size(batch_size):
+    with pytest.raises(ValueError):
+        PsgdConfig(iterations=10, batch_size=batch_size)
+
+
+def test_psgd_config_accepts_batch_sizes():
+    for batch_size in (None, 1, 64, np.int64(8)):
+        assert PsgdConfig(iterations=10, batch_size=batch_size).batch_size == batch_size
 
 
 def test_psgd_zero_iterations():
