@@ -19,6 +19,16 @@ matrix, and four eigvalsh; S is never inverted.
 
 The dual is  minimize b^T y  s.t.  S = sum_i y_i A_i - C >= 0, and an
 ``optimal`` solution certifies a duality gap below the requested tolerance.
+The dual value is an upper bound on the optimum only when S is psd, which an
+iterate meets only up to tolerance.  A problem that states a bound tau on
+tr X over its feasible set (``trace_bound``) gets a bound that holds for
+every y (Jansson, Chaykin and Keil, "Rigorous error bounds for the optimal
+value in semidefinite programming", SIAM J. Numer. Anal. 2007): for feasible
+X, <C, X> = b^T y - <S, X> <= b^T y + max(0, -lambda_min(S)) tau.
+``solve_sdp`` evaluates it at every iterate, with lambda_min lowered by a
+rounding margin (see ``_dual_bound``), keeps the smallest, and given a
+``threshold`` stops with status ``certified`` as soon as it is at most the
+threshold.
 A presolve pass takes one eigendecomposition of the Gram matrix of the
 constraint rows.  Independent rows pass through unchanged; dependent ones
 are replaced by an orthonormal basis of their span (declaring infeasibility
@@ -37,6 +47,7 @@ from .errors import NonFiniteError
 from .numerics import check_finite, symmetrize
 
 OPTIMAL = "optimal"
+CERTIFIED = "certified"
 INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max_iterations"
 
@@ -52,12 +63,16 @@ class SdpProblem:
 
     ``constraints`` is one (m, n, n) stack; a stack that is not exactly
     symmetric is replaced by its symmetrized copy on construction.
+    ``trace_bound`` states that tr X <= trace_bound on the feasible set; it
+    is a fact about the problem that makes ``solve_sdp`` certify an upper
+    bound on the optimum at every iterate, not a solver option.
     """
 
     n: int
     objective: np.ndarray
     constraints: np.ndarray
     b: np.ndarray
+    trace_bound: float = math.inf
 
     def __post_init__(self):
         self.objective = symmetrize(np.asarray(self.objective, dtype=float))
@@ -74,6 +89,8 @@ class SdpProblem:
         self.b = check_finite(np.asarray(self.b, dtype=float))
         if self.b.shape != (len(a),):
             raise ValueError("b must have one entry per constraint")
+        if not self.trace_bound >= 0.0:
+            raise ValueError("trace_bound must be nonnegative")
 
 
 @dataclass
@@ -84,6 +101,10 @@ class SdpSolution:
     status: str
     gap: float = math.inf
     iterations: int = 0
+    # smallest certified upper bound on the optimum over the iterates, and
+    # the lowered lambda_min(S) it was computed from (see _dual_bound)
+    bound: float = math.inf
+    lambda_min: float = math.nan
 
     @property
     def optimal(self) -> bool:
@@ -140,11 +161,58 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (l @ u) / np.sqrt(v), v
 
 
+def _dual_bound(aty: np.ndarray, y: np.ndarray, b: np.ndarray, c: np.ndarray,
+                a_norms: np.ndarray, trace_bound: float) -> tuple[float, float]:
+    """(ub, lam_lo): an upper bound on <C, X> over every feasible X with
+    tr X <= trace_bound, valid for any y, and the lowered lambda_min(S) it
+    rests on.  ``aty`` is the computed sum_i y_i A_i and ``a_norms`` holds
+    the Frobenius norms ||A_i||.
+
+    With S = A^T y - C a feasible X has <C, X> = b^T y - <S, X>, and
+    -<S, X> <= max(0, -lambda_min(S)) tr X.  In floating point (eps the
+    machine epsilon, u = eps/2, gamma_k = k u / (1 - k u); Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 3.1), with Weyl's inequality
+    moving each eigenvalue by at most the Frobenius norm of a perturbation:
+
+    * each entry of S sums at most m + 1 terms, so in any summation order
+      the computed S is within gamma_{m+1} (sum_i |y_i| ||A_i|| + ||C||) of
+      the exact one;
+    * eigvalsh is backward stable: its eigenvalues are those of a matrix
+      within p(n) eps ||S|| of the computed S, p(n) a modestly growing
+      function of n (LAPACK Users' Guide, sec. 4.7).
+
+    lam_lo = lambda_min - margin with margin = eps ((m + 1) (sum_i |y_i|
+    ||A_i|| + ||C||) + 4 n ||S||) covers the first twice over and the second
+    with p(n) = 4n.  The bound b^T y + t, t = max(0, -lam_lo) trace_bound,
+    has b^T y within gamma_m |b|^T |y| of exact and three more roundings of
+    relative size u; the pad (m + 3) eps (|b|^T |y| + t) covers them twice
+    over.
+    """
+    m, n = len(y), len(c)
+    eps = np.finfo(float).eps
+    s = aty - c
+    margin = eps * ((m + 1) * (np.abs(y) @ a_norms + np.linalg.norm(c))
+                    + 4 * n * np.linalg.norm(s))
+    lam_lo = float(np.linalg.eigvalsh(s)[0] - margin)
+    t = max(0.0, -lam_lo) * trace_bound
+    return float(b @ y + t + (m + 3) * eps * (np.abs(b) @ np.abs(y) + t)), lam_lo
+
+
 def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
-              max_iterations: int = DEFAULT_MAX_ITER) -> SdpSolution:
+              max_iterations: int = DEFAULT_MAX_ITER,
+              threshold: float | None = None) -> SdpSolution:
     """Interior-point solve; ``optimal`` certifies gap <= tol and feasibility
     within TOL_FEAS / TOL_PSD.  A step that breaks down numerically ends the
-    solve with the iterate it started from and status MAX_ITERATIONS."""
+    solve with the iterate it started from and status MAX_ITERATIONS.
+
+    When the problem has a finite ``trace_bound`` every iterate's
+    ``_dual_bound`` is taken and the smallest is kept on the solution (it
+    is computed from the presolved rows, which are the problem's own unless
+    some of them are dependent).
+    Given a ``threshold``, the solve ends with status CERTIFIED at the first
+    iterate where that bound is at most the threshold, before the
+    optimality test.  The iterates never depend on the threshold.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iterations < 1:
@@ -178,6 +246,14 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     s = rho_d * np.eye(n)
     y = np.zeros(m)
 
+    certify = math.isfinite(problem.trace_bound)
+    bound, lam_bound = math.inf, math.nan
+
+    def finish(status, gap):
+        return SdpSolution(X=x, value=pobj, dual_value=dobj, status=status,
+                           gap=gap, iterations=it, bound=bound,
+                           lambda_min=lam_bound)
+
     # A_i R and the scaled constraints R^T A_i R, rewritten every iteration
     ar = np.empty_like(a)
     at = np.empty_like(a)
@@ -185,22 +261,27 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     for it in range(1, max_iterations + 1):
         mu = float(np.tensordot(x, s) / n)
         r_p = b - a_flat @ x.ravel()
-        r_d = c + s - np.tensordot(y, a, axes=1)   # want 0
+        aty = np.tensordot(y, a, axes=1)
+        r_d = c + s - aty   # want 0
         pobj = float(np.tensordot(c, x))
         dobj = float(b @ y)
         gap = dobj - pobj
+        if certify:
+            ub, lam = _dual_bound(aty, y, b, c, a_norms, problem.trace_bound)
+            if ub < bound:
+                bound, lam_bound = ub, lam
+            if threshold is not None and bound <= threshold:
+                return finish(CERTIFIED, gap)
         rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
         feas_p = np.linalg.norm(r_p) / norm_b
         feas_d = np.linalg.norm(r_d) / norm_c
         if rel_gap <= tol and feas_p <= TOL_FEAS and feas_d <= TOL_FEAS:
-            return SdpSolution(X=x, value=pobj, dual_value=dobj,
-                               status=OPTIMAL, gap=max(gap, 0.0), iterations=it)
+            return finish(OPTIMAL, max(gap, 0.0))
         if (np.linalg.norm(y) > 1e12 * norm_b or not np.isfinite(mu)
                 or mu > 1e14 or abs(pobj) > 1e13 * norm_c):
             # diverging dual (primal infeasible) or diverging primal value
             # (dual infeasible / primal unbounded)
-            return SdpSolution(X=x, value=pobj, dual_value=dobj,
-                               status=INFEASIBLE, gap=gap, iterations=it)
+            return finish(INFEASIBLE, gap)
         if it == max_iterations:
             break
         try:
@@ -241,8 +322,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
                        symmetrize(s + ad * (np.tensordot(dy, a, axes=1) - r_d)))
         except (np.linalg.LinAlgError, NonFiniteError):
             break
-    return SdpSolution(X=x, value=pobj, dual_value=dobj,
-                       status=MAX_ITERATIONS, gap=gap, iterations=it)
+    return finish(MAX_ITERATIONS, gap)
 
 
 def check_solution(problem: SdpProblem, sol: SdpSolution,

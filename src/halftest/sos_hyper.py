@@ -30,13 +30,19 @@ Its value equals that of the degree-4 pseudo-expectation relaxation over
 
 The uniform sphere moments give a positive definite M, so the program is
 strictly feasible, and its equality rows are independent by construction.
+Every feasible M has tr M <= 1 (see ``build_degree4_relaxation``), so each
+dual iterate y of the solver yields the rigorous upper bound
+b^T y + max(0, -lambda_min(A^T y - C)) on the relaxation value, with a
+rounding margin on lambda_min (``sdp._dual_bound``).
 
-A tester built on the relaxation accepts a sample exactly when the
-certified relaxation value is at most ``(C_hyper - 1) * gamma^4``; on
-acceptance every unit direction v has empirical fourth moment
-``E[<v,x>^4] <= C_hyper * gamma^4``, because the relaxation upper-bounds
-the true maximum.  Solver failures reject (the soundness direction must
-never be voided by numerical trouble).
+A tester built on the relaxation accepts a sample exactly when such a bound
+is at most ``(C_hyper - 1) * gamma^4``, and stops the solve at the first
+iterate where it is; on acceptance every unit direction v has empirical
+fourth moment ``E[<v,x>^4] <= C_hyper * gamma^4``, because the relaxation
+upper-bounds the true maximum.  The bound holds whatever the solver did, so
+no feasibility tolerance enters an accept.  A sample without such a bound
+is rejected; rejecting is always sound, and numerical trouble can only
+cost completeness.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import math
 import numpy as np
 
 from .numerics import check_finite
-from .sdp import SdpProblem, SdpSolution, solve_sdp
+from .sdp import CERTIFIED, SdpProblem, SdpSolution, solve_sdp
 
 
 def empirical_fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
@@ -66,7 +72,13 @@ def empirical_fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
 
 
 def build_degree4_relaxation(c: np.ndarray) -> SdpProblem:
-    """The pair-Gram SDP whose value upper-bounds max_{|v|=1} psi(v)^T C psi(v)."""
+    """The pair-Gram SDP whose value upper-bounds max_{|v|=1} psi(v)^T C psi(v).
+
+    Its ``trace_bound`` is 1: on a feasible M the diagonal entry at (ij, ij)
+    is Etilde[v_i^2 v_j^2] >= 0 and names the same quartic as the entry at
+    (ii, jj), so tr M = sum_{i<=j} Etilde[v_i^2 v_j^2]
+    <= sum_ij Etilde[v_i^2 v_j^2] = 1 by the normalization row.
+    """
     n = c.shape[0]
     d = (math.isqrt(8 * n + 1) - 1) // 2
     pi, pj = np.triu_indices(d)
@@ -89,19 +101,23 @@ def build_degree4_relaxation(c: np.ndarray) -> SdpProblem:
         np.add.at(constraints, (rows, gb[pos], ga[pos]), sign)
     b = np.zeros(m)
     b[0] = 1.0
-    return SdpProblem(n, c, constraints, b)
+    return SdpProblem(n, c, constraints, b, trace_bound=1.0)
 
 
-def solve_relaxation(c: np.ndarray, tol: float = 1e-8) -> tuple[float, SdpSolution]:
-    """Certified relaxation value, NaN unless the solve is ``optimal``.
+def solve_relaxation(c: np.ndarray, tol: float = 1e-8,
+                     threshold: float | None = None) -> tuple[float, SdpSolution]:
+    """Relaxation value, NaN unless the solve is ``optimal`` or ``certified``.
 
-    The returned value is the dual objective: up to the solver's
-    feasibility tolerance it upper-bounds the relaxation optimum (and
-    therefore the true maximum directional fourth moment), which is the
-    side the tester's soundness leans on.  It exceeds the primal objective
-    by at most the certified duality gap.
+    Without a threshold the solve runs to a duality gap of ``tol`` and the
+    value is max(primal, dual) objective, within the gap of the optimum.
+    Given a threshold the solve stops, with status ``certified``, at the
+    first iterate whose rigorous upper bound ``sol.bound`` is at most the
+    threshold, and that bound is the value; otherwise it runs on as
+    without one.
     """
-    sol = solve_sdp(build_degree4_relaxation(c), tol=tol)
+    sol = solve_sdp(build_degree4_relaxation(c), tol=tol, threshold=threshold)
+    if sol.status == CERTIFIED:
+        return sol.bound, sol
     if not sol.optimal:
         return math.nan, sol
     return max(sol.value, sol.dual_value), sol

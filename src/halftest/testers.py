@@ -46,6 +46,7 @@ import numpy as np
 from .errors import PreconditionError
 from .numerics import (check_finite, is_unit, min_eigenvalue, operator_norm,
                        project_orthogonal)
+from .sdp import CERTIFIED, OPTIMAL
 from .sos_hyper import empirical_fourth_moment_tensor, solve_relaxation
 
 
@@ -57,6 +58,8 @@ class TesterVerdict:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a numpy comparison gives numpy.bool_, which json cannot write
+        self.accepted = bool(self.accepted)
         for key, val in self.diagnostics.items():
             if isinstance(val, float) and not math.isfinite(val):
                 raise ValueError(f"diagnostic {key} is not finite")
@@ -134,32 +137,44 @@ def strip_probability(data, w: np.ndarray, sigma: float) -> float:
 
 def hypercontractivity_test(points, gamma: float,
                             c_hyper: float = 10.0) -> TesterVerdict:
-    """Accept iff the certified degree-4 SOS relaxation value of the maximum
-    directional fourth moment is <= (c_hyper - 1) * gamma^4.
+    """Accept iff some iterate of the degree-4 SOS relaxation solve gives a
+    rigorous upper bound on the maximum directional fourth moment that is
+    <= (c_hyper - 1) * gamma^4.
 
-    The relaxation is solved to a duality gap of min(1e-8, gamma^4).  A
-    reject without a certified value records ``solver_failure``: the type
-    of the numerical error, the SDP status, or ``non_finite_value``.
+    The solve stops at the first such iterate (status ``certified``);
+    otherwise it runs to a duality gap of min(1e-8, gamma^4) and rejects.
+    The iterates do not depend on the threshold, so an accept stays an
+    accept as c_hyper grows.  Diagnostics: ``stop_reason`` (the SDP status,
+    or the type of a numerical error), ``iterations``, ``lambda_min_s`` (the
+    lowered lambda_min of the dual slack behind the best bound), and for a
+    certified or optimal solve ``sdp_value`` (the certified bound, resp. the
+    converged relaxation value) and ``slack = threshold - sdp_value``.  A
+    reject without a value records ``solver_failure``: the type of the
+    numerical error, the SDP status, or ``non_finite_value``.
     """
     pts = _as_points(points)
     if gamma <= 0:
         raise PreconditionError("gamma must be positive")
     threshold = (c_hyper - 1.0) * gamma**4
     moments = empirical_fourth_moment_tensor(pts)
+    diag = {"threshold": threshold, "n": pts.shape[0]}
     try:
-        value, sol = solve_relaxation(moments, tol=min(1e-8, gamma**4))
+        value, sol = solve_relaxation(moments, tol=min(1e-8, gamma**4),
+                                      threshold=threshold)
     except np.linalg.LinAlgError as exc:
-        failure = type(exc).__name__
+        diag["stop_reason"] = diag["solver_failure"] = type(exc).__name__
+        return TesterVerdict(accepted=False, diagnostics=diag)
+    diag.update(stop_reason=sol.status, iterations=sol.iterations)
+    if math.isfinite(sol.lambda_min):
+        diag["lambda_min_s"] = sol.lambda_min
+    if sol.status not in (CERTIFIED, OPTIMAL):
+        diag["solver_failure"] = sol.status
+    elif not math.isfinite(value):
+        diag["solver_failure"] = "non_finite_value"
     else:
-        if sol.optimal and math.isfinite(value):
-            return TesterVerdict(
-                accepted=value <= threshold,
-                diagnostics={"sdp_value": value, "threshold": threshold,
-                             "duality_gap": sol.gap, "n": pts.shape[0]})
-        failure = sol.status if not sol.optimal else "non_finite_value"
-    return TesterVerdict(accepted=False,
-                         diagnostics={"solver_failure": failure,
-                                      "threshold": threshold})
+        diag.update(sdp_value=value, slack=threshold - value)
+        return TesterVerdict(accepted=sol.status == CERTIFIED, diagnostics=diag)
+    return TesterVerdict(accepted=False, diagnostics=diag)
 
 
 def _reject(diag: dict, stage: str) -> TesterVerdict:

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -245,7 +248,8 @@ def test_max_step_reaches_the_cone_boundary(seed):
 def test_one_factorization_per_iteration(monkeypatch):
     # An iteration that takes a step factors X (Cholesky), L^T S L (eigh) and
     # the Schur matrix (Cholesky, solve), and takes four eigvalsh for the
-    # step lengths; presolve adds one eigh.  S is never inverted.
+    # step lengths; presolve adds one eigh.  S is never inverted.  A finite
+    # trace bound adds one eigvalsh per iterate, for the certified bound.
     calls = {}
 
     def counted(name):
@@ -259,8 +263,12 @@ def test_one_factorization_per_iteration(monkeypatch):
     for name in ("cholesky", "eigh", "eigvalsh", "solve", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name))
     pts = np.random.default_rng(12).standard_normal((200, 3))
-    sol = solve_sdp(build_degree4_relaxation(empirical_fourth_moment_tensor(pts)))
-    steps = sol.iterations - 1
-    assert sol.optimal and steps > 5
-    assert calls == {"cholesky": 2 * steps, "eigh": 1 + steps,
-                     "eigvalsh": 4 * steps, "solve": steps}
+    prob = build_degree4_relaxation(empirical_fourth_moment_tensor(pts))
+    for trace_bound in (math.inf, prob.trace_bound):
+        calls.clear()
+        sol = solve_sdp(dataclasses.replace(prob, trace_bound=trace_bound))
+        steps = sol.iterations - 1
+        bounds = sol.iterations if math.isfinite(trace_bound) else 0
+        assert sol.optimal and steps > 5
+        assert calls == {"cholesky": 2 * steps, "eigh": 1 + steps,
+                         "eigvalsh": 4 * steps + bounds, "solve": steps}

@@ -7,7 +7,7 @@ import pytest
 from halftest import testers
 from halftest.distributions import MarginalSpec, sample_marginal
 from halftest.oracle import brute_force_max_fourth_moment, fourth_moment_tensor
-from halftest.sdp import SdpSolution
+from halftest.sdp import MAX_ITERATIONS, SdpSolution, _dual_bound, solve_sdp
 from halftest.sos_hyper import (build_degree4_relaxation,
                                 empirical_fourth_moment_tensor, solve_relaxation)
 from halftest.testers import hypercontractivity_test
@@ -215,11 +215,25 @@ def test_hypercontractivity_zeros_accept():
     assert verdict.diagnostics["sdp_value"] <= 1e-7
 
 
+def _accepts_below(pts, full_value_bound):
+    # the full solve pins the relaxation value; the tester's early stop
+    # reports the certified bound it accepted on, which is at most the
+    # threshold but may exceed the relaxation value
+    value, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
+    assert sol.optimal
+    assert value < full_value_bound
+    verdict = hypercontractivity_test(pts, 1.0, 10.0)
+    assert verdict.accepted
+    diag = verdict.diagnostics
+    assert diag["stop_reason"] == "certified"
+    assert diag["sdp_value"] <= diag["threshold"] == 9.0
+    assert diag["slack"] == diag["threshold"] - diag["sdp_value"]
+    return diag
+
+
 def test_hypercontractivity_gaussian_accepts():
     pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 10_000, seed=27)
-    verdict = hypercontractivity_test(pts, gamma=1.0, c_hyper=10.0)
-    assert verdict.accepted
-    assert verdict.diagnostics["sdp_value"] < 4.0
+    _accepts_below(pts, 4.0)
 
 
 def test_hypercontractivity_spike_rejects():
@@ -237,9 +251,8 @@ def test_hypercontractivity_gaussian_d8_accepts(seed):
     # samples on which the earlier formulation stopped short of optimal
     pts = sample_marginal(MarginalSpec("standard_gaussian", 8), 20_000,
                           seed=seed, stream_id=60)
-    verdict = hypercontractivity_test(pts, 1.0, 10.0)
-    assert verdict.accepted
-    assert verdict.diagnostics["sdp_value"] < 4.0
+    diag = _accepts_below(pts, 4.0)
+    assert diag["iterations"] <= 5
 
 
 def test_hypercontractivity_solver_errors(monkeypatch):
@@ -268,3 +281,76 @@ def test_hypercontractivity_solver_errors(monkeypatch):
         verdict = hypercontractivity_test(pts, 1.0, 10.0)
         assert not verdict.accepted
         assert verdict.diagnostics["solver_failure"] == failure
+
+
+def _spiked(seed):
+    # 1% of the points moved to +-10 e1, as in criterion 06
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 500, seed=seed)
+    gen = np.random.default_rng(seed)
+    mask = gen.random(len(pts)) < 0.01
+    pts[mask] = 0.0
+    pts[mask, 0] = np.where(gen.random(int(mask.sum())) < 0.5, 10.0, -10.0)
+    return pts
+
+
+@pytest.mark.parametrize("make_points", [
+    lambda: sample_marginal(MarginalSpec("standard_gaussian", 3), 500, seed=33),
+    lambda: sample_marginal(MarginalSpec("student_t", 3, nu=3), 500, seed=34),
+    lambda: _spiked(35),
+], ids=["gaussian", "student_t3", "spike"])
+def test_bound_of_a_cut_off_solve_dominates_brute_force(make_points):
+    pts = make_points()
+    brute, _ = brute_force_max_fourth_moment(pts, seed=0)
+    prob = build_degree4_relaxation(empirical_fourth_moment_tensor(pts))
+    bounds = []
+    for k in range(1, 6):
+        sol = solve_sdp(prob, max_iterations=k)
+        assert sol.status == MAX_ITERATIONS and sol.iterations == k
+        assert sol.bound >= brute
+        bounds.append(sol.bound)
+    # the best bound so far can only improve with more iterations
+    assert bounds == sorted(bounds, reverse=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bound_holds_for_random_dual_points(seed):
+    rng = np.random.default_rng(200 + seed)
+    pts = sample_marginal(MarginalSpec("product_laplace", 3), 500, seed=200 + seed)
+    c = empirical_fourth_moment_tensor(pts)
+    prob = build_degree4_relaxation(c)
+    value, sol = solve_relaxation(c)
+    assert sol.optimal
+    a = prob.constraints
+    norms = np.linalg.norm(a.reshape(len(a), -1), axis=1)
+    for scale in (1e-3, 1.0, 1e3):
+        y = scale * rng.standard_normal(len(a))
+        ub, _ = _dual_bound(np.tensordot(y, a, axes=1), y, prob.b, c, norms,
+                            prob.trace_bound)
+        assert ub >= value
+    # at convergence the best bound meets the dual value; the primal value
+    # of an X that is feasible only within tolerance may exceed both
+    assert abs(sol.bound - sol.dual_value) <= 1e-9 * value
+
+
+def test_certified_stop_follows_the_unthresholded_iterates():
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 4), 5_000, seed=36)
+    prob = build_degree4_relaxation(empirical_fourth_moment_tensor(pts))
+    early = solve_sdp(prob, threshold=4.0)
+    assert early.status == "certified" and early.bound <= 4.0
+    assert early.iterations > 1
+    cut = solve_sdp(prob, max_iterations=early.iterations)
+    assert np.array_equal(cut.X, early.X) and cut.bound == early.bound
+    full = solve_sdp(prob)
+    assert full.optimal and full.iterations > early.iterations
+
+
+def test_hypercontractivity_accept_is_monotone_in_c_hyper():
+    for seed in (37, 38):
+        pts = sample_marginal(MarginalSpec("product_laplace", 4), 5_000, seed=seed)
+        verdicts = [hypercontractivity_test(pts, 1.0, c_hyper)
+                    for c_hyper in (2.0, 4.0, 6.0, 7.0, 8.0, 10.0, 100.0)]
+        accepted = [v.accepted for v in verdicts]
+        assert accepted == sorted(accepted) and accepted[-1]
+        assert not accepted[0]
+        iterations = [v.diagnostics["iterations"] for v in verdicts if v.accepted]
+        assert iterations == sorted(iterations, reverse=True)

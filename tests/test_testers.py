@@ -11,7 +11,7 @@ from halftest.errors import PreconditionError
 from halftest.numerics import householder_basis, unit
 from halftest.oracle import erm_halfspace
 from halftest.surrogate import RampParams, surrogate_gradient
-from halftest.testers import (TesterConfig,
+from halftest.testers import (TesterConfig, TesterVerdict,
                               local_disagreement_test, paley_zygmund_holds,
                               spectral_test, stationary_point_test,
                               strip_probability, weak_anticoncentration_test)
@@ -261,6 +261,14 @@ def test_verdict_determinism_and_json():
     assert a.to_json() == b.to_json()
     payload = json.loads(a.to_json())
     assert set(payload) == {"accepted", "diagnostics"}
+
+
+def test_verdict_json_from_numpy_bool():
+    # a comparison of numpy floats gives numpy.bool_, which json cannot write
+    verdict = TesterVerdict(accepted=np.bool_(True), diagnostics={"x": np.float64(1.0)})
+    assert verdict.accepted is True
+    assert json.loads(verdict.to_json()) == {"accepted": True,
+                                             "diagnostics": {"x": 1.0}}
 
 
 def test_paley_zygmund_random_samples():
