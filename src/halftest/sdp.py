@@ -29,11 +29,6 @@ X, <C, X> = b^T y - <S, X> <= b^T y + max(0, -lambda_min(S)) tau.
 rounding margin (see ``_dual_bound``), keeps the smallest, and given a
 ``threshold`` stops with status ``certified`` as soon as it is at most the
 threshold.
-A presolve pass takes one eigendecomposition of the Gram matrix of the
-constraint rows.  Independent rows pass through unchanged; dependent ones
-are replaced by an orthonormal basis of their span (declaring infeasibility
-when b does not lie in it), which keeps the Schur complement positive
-definite for degenerate constraint stacks.
 """
 
 from __future__ import annotations
@@ -62,7 +57,13 @@ class SdpProblem:
     """maximize <objective, X> subject to <constraints[i], X> = b[i], X psd.
 
     ``constraints`` is one (m, n, n) stack; a stack that is not exactly
-    symmetric is replaced by its symmetrized copy on construction.
+    symmetric is replaced by its symmetrized copy on construction.  Its
+    rows must be linearly independent, which keeps the Schur matrix
+    positive definite; ``solve_sdp`` does not check this.  On dependent
+    rows a consistent b usually still solves to ``optimal``, and a b
+    outside their range (beyond the feasibility tolerance) is never
+    reported ``optimal`` but typically ends ``max_iterations`` after the
+    whole iteration budget rather than ``infeasible`` at once.
     ``trace_bound`` states that tr X <= trace_bound on the feasible set; it
     is a fact about the problem that makes ``solve_sdp`` certify an upper
     bound on the optimum at every iterate, not a solver option.
@@ -109,33 +110,6 @@ class SdpSolution:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
-
-
-def _presolve(problem: SdpProblem):
-    """Equalities with independent rows, from one eigendecomposition of the
-    Gram matrix of the svec'd constraint rows.
-
-    Returns (constraints, b, status).  When every Gram eigenvalue is above
-    the rank threshold the problem's own arrays come back unchanged.
-    Otherwise the rows are replaced by an orthonormal basis of their span,
-    and status is INFEASIBLE when b has a component in the null space of
-    the rows.
-    """
-    a, b = problem.constraints, problem.b
-    if len(a) == 0:
-        return a, b, None
-    iu = np.triu_indices(problem.n)
-    rows = a[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-
-    lam, vec = np.linalg.eigh(rows @ rows.T)
-    independent = lam > max(rows.shape) * np.finfo(float).eps * lam[-1]
-    if np.all(independent):
-        return a, b, None
-    null = vec[:, ~independent]
-    if np.linalg.norm(null.T @ b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-        return None, None, INFEASIBLE
-    coeff = vec[:, independent].T / np.sqrt(lam[independent])[:, None]
-    return np.tensordot(coeff, a, axes=1), coeff @ b, None
 
 
 def _max_step(v: np.ndarray, d: np.ndarray) -> float:
@@ -206,9 +180,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     solve with the iterate it started from and status MAX_ITERATIONS.
 
     When the problem has a finite ``trace_bound`` every iterate's
-    ``_dual_bound`` is taken and the smallest is kept on the solution (it
-    is computed from the presolved rows, which are the problem's own unless
-    some of them are dependent).
+    ``_dual_bound`` is taken and the smallest is kept on the solution.
     Given a ``threshold``, the solve ends with status CERTIFIED at the first
     iterate where that bound is at most the threshold, before the
     optimality test.  The iterates never depend on the threshold.
@@ -218,11 +190,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
     n = problem.n
-    a, b, bad = _presolve(problem)
-    if bad == INFEASIBLE:
-        return SdpSolution(X=np.zeros((n, n)), value=-math.inf,
-                           dual_value=math.inf, status=INFEASIBLE)
-    c = problem.objective
+    a, b, c = problem.constraints, problem.b, problem.objective
     m = len(a)
 
     if m == 0:

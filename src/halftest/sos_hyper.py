@@ -74,13 +74,29 @@ def empirical_fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
 def build_degree4_relaxation(c: np.ndarray) -> SdpProblem:
     """The pair-Gram SDP whose value upper-bounds max_{|v|=1} psi(v)^T C psi(v).
 
+    ``c`` must be D x D with D = d(d+1)/2 for some d >= 1.
+
     Its ``trace_bound`` is 1: on a feasible M the diagonal entry at (ij, ij)
     is Etilde[v_i^2 v_j^2] >= 0 and names the same quartic as the entry at
     (ii, jj), so tr M = sum_{i<=j} Etilde[v_i^2 v_j^2]
     <= sum_ij Etilde[v_i^2 v_j^2] = 1 by the normalization row.
+
+    Its rows depend on d alone and are linearly independent, as
+    ``SdpProblem`` requires: each owns a Gram position that no other row
+    touches.  The normalization row owns the positions (ii, ii), since v_i^4
+    has no other position.  Consistency row r owns its later position,
+    which is the first position of no quartic and later in no other row
+    (the normalization row touches only the positions (ii, jj), each the
+    first of v_i^2 v_j^2).  Written as vectors with off-diagonal entries
+    scaled by sqrt 2, a row's owned entry is 1 on the diagonal and 1/sqrt 2
+    off it, so the Gram matrix of the rows is diag(p) + (a psd matrix) with
+    p >= 1/2, and its smallest eigenvalue is at least 1/2.
     """
-    n = c.shape[0]
+    c = np.asarray(c)
+    n = c.shape[0] if c.ndim == 2 else 0
     d = (math.isqrt(8 * n + 1) - 1) // 2
+    if d < 1 or c.shape != (n, n) or d * (d + 1) // 2 != n:
+        raise ValueError("c must be D x D with D = d(d+1)/2 for some d >= 1")
     pi, pj = np.triu_indices(d)
     ga, gb = np.triu_indices(n)                 # Gram positions, row-major
     quartic = np.sort([pi[ga], pj[ga], pi[gb], pj[gb]], axis=0)
@@ -109,7 +125,8 @@ def solve_relaxation(c: np.ndarray, tol: float = 1e-8,
     """Relaxation value, NaN unless the solve is ``optimal`` or ``certified``.
 
     Without a threshold the solve runs to a duality gap of ``tol`` and the
-    value is max(primal, dual) objective, within the gap of the optimum.
+    value is max(primal, dual) objective, within the gap of the optimum,
+    capped at the rigorous upper bound ``sol.bound``.
     Given a threshold the solve stops, with status ``certified``, at the
     first iterate whose rigorous upper bound ``sol.bound`` is at most the
     threshold, and that bound is the value; otherwise it runs on as
@@ -120,4 +137,4 @@ def solve_relaxation(c: np.ndarray, tol: float = 1e-8,
         return sol.bound, sol
     if not sol.optimal:
         return math.nan, sol
-    return max(sol.value, sol.dual_value), sol
+    return min(max(sol.value, sol.dual_value), sol.bound), sol

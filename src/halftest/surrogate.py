@@ -114,10 +114,10 @@ def surrogate_gradient(w: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
     return -(weights @ tangents) / ds.n
 
 
-def _band_rows(x: np.ndarray, norm_x: np.ndarray, w_ref: np.ndarray,
-               radius: float, sigma: float) -> np.ndarray:
-    """Ascending indices of a superset of the rows x with |<w, x>| < sigma/2
-    for some unit w within distance ``radius`` of the unit vector w_ref.
+def _band_limit(x: np.ndarray, radius: float, sigma: float) -> np.ndarray:
+    """Per-row limits such that the rows with |<w_ref, x>| < limit are a
+    superset of the rows x with |<w, x>| < sigma/2 for every unit w within
+    distance ``radius`` of the unit vector w_ref.
 
     Cauchy-Schwarz gives |<w, x>| >= |<w_ref, x>| - ||w - w_ref|| ||x||, so a
     row outside |<w_ref, x>| < sigma/2 + radius ||x|| is outside the band of
@@ -131,27 +131,33 @@ def _band_rows(x: np.ndarray, norm_x: np.ndarray, w_ref: np.ndarray,
     (2d + 7) eps ||x|| + eps sigma, which pad = 8 (d + 2) eps (||x|| + sigma)
     covers four times over.
     """
-    d = x.shape[1]
-    pad = 8.0 * (d + 2) * np.finfo(float).eps * (norm_x + sigma)
-    ref = np.abs(x @ w_ref)
-    return np.flatnonzero(ref < sigma / 2.0 + radius * norm_x + pad)
+    norm_x = np.linalg.norm(x, axis=1)
+    pad = 8.0 * (x.shape[1] + 2) * np.finfo(float).eps * (norm_x + sigma)
+    return sigma / 2.0 + radius * norm_x + pad
+
+
+def _band_rows(x: np.ndarray, w_ref: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows x with |<w_ref, x>| < limit."""
+    return np.flatnonzero(np.abs(x @ w_ref) < limit)
 
 
 class _Slab:
     """Rows of (x, y) that can lie in the band |<w,x>| < sigma/2 of the current
-    iterate w: the ``_band_rows`` superset of radius sigma/2 around a reference
-    iterate, rebuilt around w whenever w moves farther than sigma/2 from it."""
+    iterate w: the ``_band_limit`` superset of radius sigma/2 around a
+    reference iterate, rebuilt around w whenever w moves farther than sigma/2
+    from it.  The limits depend only on x and sigma, so they are computed
+    once."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, sigma: float):
         self.x, self.y, self.sigma = x, y, sigma
-        self.norm_x = np.linalg.norm(x, axis=1)
+        self.limit = _band_limit(x, sigma / 2.0, sigma)
         self.w_ref = None
 
     def rows(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         half = self.sigma / 2.0
         if self.w_ref is None or np.linalg.norm(w - self.w_ref) > half:
             self.w_ref = w
-            rows = _band_rows(self.x, self.norm_x, w, half, self.sigma)
+            rows = _band_rows(self.x, w, self.limit)
             self.xr, self.yr = self.x[rows], self.y[rows]
         return self.xr, self.yr
 

@@ -6,7 +6,7 @@ import pytest
 
 from halftest.numerics import sym_eigendecompose
 from halftest.sdp import (INFEASIBLE, MAX_ITERATIONS, OPTIMAL, SdpProblem, _max_step,
-                          _nt_scaling, _presolve, check_solution, solve_sdp)
+                          _nt_scaling, check_solution, solve_sdp)
 from halftest.sos_hyper import (build_degree4_relaxation,
                                 empirical_fourth_moment_tensor)
 
@@ -119,21 +119,37 @@ def test_redundant_equalities_ok():
     assert abs(sol.value - 1.0) < 1e-6
 
 
-def test_presolve_reduces_only_dependent_rows():
-    pts = np.random.default_rng(12).standard_normal((50, 3))
-    sos = build_degree4_relaxation(empirical_fourth_moment_tensor(pts))
-    a, b, status = _presolve(sos)
-    assert status is None
-    assert a is sos.constraints and b is sos.b
+def test_inconsistent_random_equalities_never_optimal():
+    # b outside the range of dependent rows breaks SdpProblem's precondition
+    # and solve_sdp does not detect it, but it must not report an optimum or
+    # raise
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        n = int(rng.integers(2, 7))
+        x0 = rng.standard_normal((n, n))
+        x0 = x0 @ x0.T + 0.5 * np.eye(n)
+        mats = [np.eye(n)] + [_random_sym(rng, n) for _ in range(int(rng.integers(1, 4)))]
+        mats.append(np.tensordot(rng.standard_normal(len(mats)), mats, axes=1))
+        b = [float(np.tensordot(a, x0)) for a in mats]
+        b[-1] += 1.0
+        prob = SdpProblem(n=n, objective=_random_sym(rng, n), constraints=mats, b=b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_sdp(prob)
+        assert sol.status in (INFEASIBLE, MAX_ITERATIONS)
 
-    x = np.diag([0.5, 0.25, 0.25])
-    mats = [np.eye(3), 2 * np.eye(3), np.diag([1.0, 0.0, 0.0])]
-    prob = SdpProblem(n=3, objective=np.eye(3), constraints=mats,
-                      b=[float(np.tensordot(a, x)) for a in mats])
-    a, b, status = _presolve(prob)
-    assert status is None and a.shape == (2, 3, 3)
-    assert np.allclose(np.tensordot(a, a, axes=([1, 2], [1, 2])), np.eye(2))
-    assert np.allclose(np.tensordot(a, x), b)
+
+def test_sos_rows_are_independent_and_depend_on_d_alone():
+    # build_degree4_relaxation's docstring proves that the Gram matrix of its
+    # rows has lambda_min >= 1/2; solve_sdp relies on independent rows
+    rng = np.random.default_rng(12)
+    for d in range(1, 11):
+        first, second = (build_degree4_relaxation(empirical_fourth_moment_tensor(pts))
+                         for pts in (rng.standard_normal((50, d)),
+                                     rng.exponential(2.0, (80, d))))
+        assert np.array_equal(first.constraints, second.constraints)
+        assert np.array_equal(first.b, second.b)
+        rows = first.constraints.reshape(len(first.b), -1)
+        assert np.linalg.eigvalsh(rows @ rows.T)[0] >= 0.5 - 1e-12
 
 
 def test_constraint_stack_copied_only_when_not_symmetric():
@@ -248,8 +264,8 @@ def test_max_step_reaches_the_cone_boundary(seed):
 def test_one_factorization_per_iteration(monkeypatch):
     # An iteration that takes a step factors X (Cholesky), L^T S L (eigh) and
     # the Schur matrix (Cholesky, solve), and takes four eigvalsh for the
-    # step lengths; presolve adds one eigh.  S is never inverted.  A finite
-    # trace bound adds one eigvalsh per iterate, for the certified bound.
+    # step lengths.  S is never inverted.  A finite trace bound adds one
+    # eigvalsh per iterate, for the certified bound.
     calls = {}
 
     def counted(name):
@@ -270,5 +286,5 @@ def test_one_factorization_per_iteration(monkeypatch):
         steps = sol.iterations - 1
         bounds = sol.iterations if math.isfinite(trace_bound) else 0
         assert sol.optimal and steps > 5
-        assert calls == {"cholesky": 2 * steps, "eigh": 1 + steps,
+        assert calls == {"cholesky": 2 * steps, "eigh": steps,
                          "eigvalsh": 4 * steps + bounds, "solve": steps}

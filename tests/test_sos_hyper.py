@@ -108,6 +108,12 @@ def test_rows_match_a_loop_over_gram_positions():
         assert np.array_equal(prob.b, [1.0] + [0.0] * (len(expected) - 1))
 
 
+def test_relaxation_rejects_malformed_c():
+    for c in (np.eye(5), np.eye(7), np.zeros((0, 0)), np.ones((3, 6)), np.ones(3)):
+        with pytest.raises(ValueError):
+            build_degree4_relaxation(c)
+
+
 def test_relaxation_dimension_one_collapse():
     pts = np.array([[2.0], [1.0], [-1.0]])
     c = empirical_fourth_moment_tensor(pts)
@@ -327,6 +333,7 @@ def test_bound_holds_for_random_dual_points(seed):
         ub, _ = _dual_bound(np.tensordot(y, a, axes=1), y, prob.b, c, norms,
                             prob.trace_bound)
         assert ub >= value
+    assert value <= sol.bound
     # at convergence the best bound meets the dual value; the primal value
     # of an X that is feasible only within tolerance may exceed both
     assert abs(sol.bound - sol.dual_value) <= 1e-9 * value
