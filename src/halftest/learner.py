@@ -4,19 +4,28 @@ A single run executes, in order:
 
 1. build the sigma grid and the gradient-norm threshold A from
    (eps, lambda, gamma, noise) — a singleton sigma for Massart, a uniform
-   cover of (0, 1/(c1 lam^c1)] for agnostic noise;
-2. draw S1 and run projected SGD on the surrogate loss for every sigma;
-3. collect every iterate into the candidate list L;
-4. draw a fresh S2 and compute each candidate's surrogate-gradient norm on
-   it; reject if some sigma has no candidate below A;
-5. keep per sigma the candidate with the smallest gradient norm;
-6. run the stationary-point tester on each survivor (reject on failure);
-7. run the local-disagreement tester at theta = (1+gamma^4) sigma/(A gamma^4)
-   once per survivor (reject on failure); one call covers -w as well, since
-   |<-w,x>| = |<w,x>| and angle(-w,-w') = angle(w,w'), so both signs give
-   the same statistics;
-8. accept and output the vector with the smallest empirical S2 error among
+   cover of (0, 1/(c1 lam^c1)] for agnostic noise — and draw S1 and a
+   fresh S2;
+2. for each sigma in ascending order:
+
+   a. run projected SGD on the surrogate loss over S1; its iterates are
+      the sigma's candidates;
+   b. compute each candidate's surrogate-gradient norm on S2 and keep the
+      one with the smallest norm; reject if that norm is above A;
+   c. run the stationary-point tester on the survivor (reject on failure);
+   d. run the local-disagreement tester on the survivor at
+      theta = (1+gamma^4) sigma/(A gamma^4) (reject on failure); one call
+      covers -w as well, since |<-w,x>| = |<w,x>| and
+      angle(-w,-w') = angle(w,w'), so both signs give the same statistics;
+
+3. accept and output the vector with the smallest empirical S2 error among
    the survivors and their negations.
+
+A run accepts only if every sigma passes all three checks, so their order
+cannot change an accept or its output; it only decides how much work a
+reject pays for.  Testing each survivor as soon as it is found stops a
+reject at the first sigma that fails, and the trace's ``per_sigma`` then
+ends at that sigma.
 
 The sigma grid is pruned up front to the widths the testers can actually
 certify (sigma <= 1/(2 lam_tester) and theta(sigma) <= pi/4); the
@@ -220,11 +229,17 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
     a_threshold = grid.threshold
     trace = {"sigma_grid": list(grid.values), "sigma_runnable": list(sigmas),
              "gradient_threshold": a_threshold, "per_sigma": {}}
+
+    def reject(stage: str) -> LearnerOutcome:
+        return LearnerOutcome(accepted=False, stage=stage, trace=trace,
+                              wall_time=time.perf_counter() - start)
+
     if not sigmas:
-        return LearnerOutcome(accepted=False, stage="empty_sigma_grid",
-                              trace=trace, wall_time=time.perf_counter() - start)
+        return reject("empty_sigma_grid")
 
     w0 = equivariant_init(s1)
+    eta_arg = cfg.eta if cfg.noise == "massart" else None
+    g4 = cfg.gamma**4
     survivors = []  # (sigma, w)
     for idx, sigma in enumerate(sigmas):
         params = RampParams(sigma)
@@ -239,28 +254,22 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
                 "iterates": len(iterates)}
         trace["per_sigma"][f"{sigma:.10g}"] = info
         if norms[best] > a_threshold:
-            trace["per_sigma"][f"{sigma:.10g}"]["failed_gradient_filter"] = True
-            return LearnerOutcome(accepted=False, stage="gradient_filter",
-                                  trace=trace, wall_time=time.perf_counter() - start)
-        survivors.append((sigma, iterates[best]))
+            info["failed_gradient_filter"] = True
+            return reject("gradient_filter")
+        w = iterates[best]
 
-    eta_arg = cfg.eta if cfg.noise == "massart" else None
-    g4 = cfg.gamma**4
-    for sigma, w in survivors:
         verdict = stationary_point_test(s2, w, sigma, eta_arg, cfg.tester)
-        info = trace["per_sigma"][f"{sigma:.10g}"]
         info["stationary"] = verdict.diagnostics
         info["stationary_accepted"] = verdict.accepted
         if not verdict.accepted:
-            return LearnerOutcome(accepted=False, stage="stationary_test",
-                                  trace=trace, wall_time=time.perf_counter() - start)
+            return reject("stationary_test")
         theta = (1.0 + g4) * sigma / (a_threshold * g4)
         d_verdict = local_disagreement_test(s2.points, w, theta, cfg.tester)
         info["disagreement"] = d_verdict.diagnostics
         info["disagreement_accepted"] = d_verdict.accepted
         if not d_verdict.accepted:
-            return LearnerOutcome(accepted=False, stage="disagreement_test",
-                                  trace=trace, wall_time=time.perf_counter() - start)
+            return reject("disagreement_test")
+        survivors.append((sigma, w))
 
     candidates = [w for _, w in survivors] + [-w for _, w in survivors]
     cand_sigmas = [s for s, _ in survivors] * 2

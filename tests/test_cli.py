@@ -149,6 +149,34 @@ def test_learn_json_deterministic(tmp_path):
     assert a == b
 
 
+# README's soundness config: criterion 13's two-point mass, agnostic flips
+SOUNDNESS_CFG = {
+    "marginal": {"kind": "two_point_mass", "dim": 5, "spread": 10.0},
+    "noise": {"kind": "agnostic", "rule": "boundary_flip",
+              "width": 0.06270677794321385, "target": "e1"},
+    "learner": {"lambda": 1.0, "gamma": 1.0, "eps": 0.1, "noise": "agnostic",
+                "psgd": {"iterations": 150, "batch_size": None},
+                "tester": {"lambda": 3.0, "c1": 3.0, "c_hyper": 10.0}},
+    "trials": 2, "seed": 1300}
+
+
+def test_learn_soundness_reports_stop_at_the_rejecting_sigma(tmp_path):
+    cfg = write_config(tmp_path, "l.json", SOUNDNESS_CFG)
+    runs = []
+    for out in (str(tmp_path / "r1"), str(tmp_path / "r2")):
+        assert main(["learn", "--config", cfg, "--out", out]) == 0
+        runs.append([open(os.path.join(out, f"trial_{i:03d}.json"), "rb").read()
+                     for i in range(2)])
+    assert runs[0] == runs[1]
+    for raw in runs[0]:
+        outcome = json.loads(raw)["outcome"]
+        assert outcome["status"] == "rejected"
+        per_sigma = outcome["trace"]["per_sigma"]
+        assert len(per_sigma) == 1
+        (info,) = per_sigma.values()
+        assert info["stationary_accepted"] is False
+
+
 def test_learn_seeds_validation(tmp_path):
     bad = dict(LEARN_CFG, trials=2, seeds=[1])
     cfg = write_config(tmp_path, "l.json", bad)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from halftest import learner
 from halftest.distributions import (Dataset, MarginalSpec, NoiseModel,
                                     empirical_error, label_dataset,
                                     sample_marginal)
@@ -9,10 +10,11 @@ from halftest.learner import (FixedDatasetSource, LearnerConfig,
                               SyntheticSource, equivariant_init,
                               make_sigma_grid, runnable_sigmas,
                               universal_tester_learner)
-from halftest.surrogate import PsgdConfig
+from halftest.surrogate import PsgdConfig, gradient_norms, psgd
 from halftest.testers import TesterConfig
 
 W_STAR5 = (1.0, 0.0, 0.0, 0.0, 0.0)
+BOUNDARY_5PCT = 0.06270677794321385  # Pr[|N(0,1)| <= w] = 0.05
 
 # calibrated end-to-end configuration: grid arithmetic at lam = 1, tester
 # thresholds at lam = 3 with c1 = 3 (frozen from the Gaussian pilot)
@@ -23,6 +25,19 @@ def massart_config(eps=0.05, iterations=300):
     return LearnerConfig(lam=1.0, gamma=1.0, eps=eps, noise="massart", eta=0.1,
                          psgd=PsgdConfig(iterations=iterations, batch_size=None),
                          tester=E2E_TESTER, n1=100_000, n2=100_000)
+
+
+def agnostic_config(iterations=150):
+    # criterion 13's configuration; criterion 12 runs it at 300 iterations
+    return LearnerConfig(lam=1.0, gamma=1.0, eps=0.1, noise="agnostic",
+                         psgd=PsgdConfig(iterations=iterations, batch_size=None),
+                         tester=E2E_TESTER, n1=100_000, n2=100_000)
+
+
+def boundary_flip_source(kind, seed, **kwargs):
+    return SyntheticSource(MarginalSpec(kind, 5, **kwargs),
+                           NoiseModel("agnostic", W_STAR5, rule="boundary_flip",
+                                      width=BOUNDARY_5PCT), seed=seed)
 
 
 def test_sigma_grid_massart_plugin():
@@ -217,3 +232,60 @@ def test_outcome_json_schema():
     payload = json.loads(out.to_json())
     assert payload["status"] == "rejected"
     assert "trace" in payload and "stage" in payload
+
+
+@pytest.mark.parametrize("kind, kwargs, rejected_by", [
+    ("two_point_mass", {"spread": 10.0}, "strip"),
+    ("line_mass", {}, "spectral_lower"),
+])
+def test_reject_stops_at_the_rejecting_sigma(monkeypatch, kind, kwargs,
+                                             rejected_by):
+    # criterion 13 rejects at the first sigma: no PSGD runs for the other ten
+    calls = []
+
+    def counted_psgd(*args, **kw):
+        calls.append(1)
+        return psgd(*args, **kw)
+
+    monkeypatch.setattr(learner, "psgd", counted_psgd)
+    out = universal_tester_learner(boundary_flip_source(kind, 1300, **kwargs),
+                                   agnostic_config(), seed=1300)
+    assert not out.accepted
+    assert len(calls) == 1
+    assert len(out.trace["per_sigma"]) == 1
+    assert out.stage == "stationary_test"
+    (info,) = out.trace["per_sigma"].values()
+    assert info["stationary"]["rejected_by"] == rejected_by
+
+
+def test_tester_reject_precedes_a_later_gradient_filter_reject(monkeypatch):
+    # sigma index 0's survivor fails the stationary tester and sigma index 1
+    # would fail the filter; the report names the tester that ran first
+    calls = []
+
+    def rigged_norms(iterates, ds, params):
+        calls.append(1)
+        norms = gradient_norms(iterates, ds, params)
+        return norms if len(calls) == 1 else norms + 1e6
+
+    monkeypatch.setattr(learner, "gradient_norms", rigged_norms)
+    out = universal_tester_learner(
+        boundary_flip_source("two_point_mass", 1300, spread=10.0),
+        agnostic_config(), seed=1300)
+    assert out.stage == "stationary_test"
+    assert len(calls) == 1
+    assert list(out.trace["per_sigma"]) == [
+        f"{out.trace['sigma_runnable'][0]:.10g}"]
+
+
+def test_accept_tests_every_sigma():
+    out = universal_tester_learner(boundary_flip_source("standard_gaussian", 1200),
+                                   agnostic_config(300), seed=1200)
+    assert out.accepted
+    sigmas = out.trace["sigma_runnable"]
+    assert len(sigmas) > 1
+    assert list(out.trace["per_sigma"]) == [f"{s:.10g}" for s in sigmas]
+    for info in out.trace["per_sigma"].values():
+        assert info["stationary_accepted"] and "stationary" in info
+        assert info["disagreement_accepted"] and "disagreement" in info
+    assert len(out.trace["candidate_errors"]) == 2 * len(sigmas)
