@@ -11,8 +11,7 @@ samplers, and brute-force oracles used to validate everything.
 __version__ = "0.1.0"
 
 from .distributions import (Dataset, MarginalSpec, NoiseModel,
-                            empirical_error, empirical_opt_upper_bound,
-                            label_dataset, sample_marginal)
+                            empirical_error, label_dataset, sample_marginal)
 from .learner import (FixedDatasetSource, LearnerConfig, LearnerOutcome,
                       SigmaGrid, SyntheticSource, make_sigma_grid,
                       universal_tester_learner)
@@ -26,7 +25,7 @@ from .testers import (TesterConfig, TesterVerdict, hypercontractivity_test,
 
 __all__ = [
     "Dataset", "MarginalSpec", "NoiseModel", "empirical_error",
-    "empirical_opt_upper_bound", "label_dataset", "sample_marginal",
+    "label_dataset", "sample_marginal",
     "FixedDatasetSource", "LearnerConfig", "LearnerOutcome", "SigmaGrid",
     "SyntheticSource", "make_sigma_grid", "universal_tester_learner",
     "PsgdConfig", "RampParams", "psgd", "smooth_ramp",

@@ -248,6 +248,8 @@ def _learn_trial(payload) -> dict:
 
 
 def cmd_learn(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     cfg = _load_config(args.config)
     if "learner" not in cfg:
         raise ConfigError("learn config needs a 'learner' section")
@@ -263,9 +265,10 @@ def cmd_learn(args) -> int:
         cfg = dict(cfg)
         cfg["seed"] = int(args.seed)
     seeds = _trial_seeds(cfg)
-    jobs = max(1, int(args.jobs))
+    # a forked pool starts all its workers at the first submit
+    jobs = min(args.jobs, len(seeds))
     payloads = [(cfg, seed) for seed in seeds]
-    if jobs == 1 or len(payloads) == 1:
+    if jobs == 1:
         results = [_learn_trial(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

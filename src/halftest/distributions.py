@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -64,8 +64,6 @@ class MarginalSpec:
     nu: Optional[int] = None            # student_t degrees of freedom
     spread: Optional[float] = None      # two_point_mass atom location
     direction: Optional[tuple] = None   # line_mass direction (defaults to e1)
-    claimed_lambda: Optional[float] = field(default=None)
-    claimed_gamma: Optional[float] = field(default=None)
 
     def __post_init__(self):
         if self.kind not in MARGINAL_KINDS:
@@ -76,10 +74,16 @@ class MarginalSpec:
             raise ValueError("student_t requires integer nu >= 1")
         if self.kind == "two_point_mass" and (self.spread is None or self.spread <= 0):
             raise ValueError("two_point_mass requires spread > 0")
-        if self.claimed_lambda is None and self.kind in CLAIMED:
-            lam, gam = CLAIMED[self.kind]
-            object.__setattr__(self, "claimed_lambda", lam)
-            object.__setattr__(self, "claimed_gamma", gam)
+
+    @property
+    def claimed_lambda(self) -> Optional[float]:
+        """The family's documented lambda (see CLAIMED), or None."""
+        return CLAIMED.get(self.kind, (None, None))[0]
+
+    @property
+    def claimed_gamma(self) -> Optional[float]:
+        """The family's documented gamma (see CLAIMED), or None."""
+        return CLAIMED.get(self.kind, (None, None))[1]
 
     def line_direction(self) -> np.ndarray:
         if self.direction is None:
@@ -259,13 +263,6 @@ def empirical_error(w: np.ndarray, ds: Dataset) -> float:
     """Empirical 0-1 error of the halfspace sign(<w, x>)."""
     preds = sign_pm1(ds.points @ np.asarray(w, dtype=float))
     return float(np.mean(preds != ds.labels))
-
-
-def empirical_opt_upper_bound(ds: Dataset, candidates: Sequence[np.ndarray]) -> float:
-    """min over candidate unit vectors of the empirical 0-1 error."""
-    if len(candidates) == 0:
-        raise ValueError("candidates must be nonempty")
-    return min(empirical_error(w, ds) for w in candidates)
 
 
 # ---------------------------------------------------------------------------

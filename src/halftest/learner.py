@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Protocol
 
 import numpy as np
@@ -99,10 +99,16 @@ class LearnerConfig:
     repetitions: int = 1
 
     def __post_init__(self):
+        values = (self.lam, self.gamma, self.eps,
+                  0.0 if self.eta is None else self.eta)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("lam, gamma, eps and eta must be finite")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.lam < 1.0:
             raise ValueError("lam must be >= 1")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be > 0")
         if self.noise not in ("massart", "agnostic"):
             raise ValueError("noise must be 'massart' or 'agnostic'")
         if self.noise == "massart":
@@ -243,10 +249,7 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
     survivors = []  # (sigma, w)
     for idx, sigma in enumerate(sigmas):
         params = RampParams(sigma)
-        psgd_cfg = PsgdConfig(iterations=cfg.psgd.iterations,
-                              step_size=cfg.psgd.step_size,
-                              batch_size=cfg.psgd.batch_size,
-                              seed=seed + 7919 * (idx + 1) + 104729 * rep)
+        psgd_cfg = replace(cfg.psgd, seed=seed + 7919 * (idx + 1) + 104729 * rep)
         iterates = psgd(s1, params, psgd_cfg, w0=w0)
         norms = gradient_norms(np.stack(iterates), s2, params)
         best = int(np.argmin(norms))

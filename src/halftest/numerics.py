@@ -8,8 +8,6 @@ are arrays with ``abs(norm - 1) <= UNIT_TOL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFiniteError
@@ -45,33 +43,14 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues ascending, eigenvectors as orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
-
-def sym_eigendecompose(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``)."""
-    m = symmetrize(m)
-    vals, vecs = np.linalg.eigh(m)
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
-
-
 def operator_norm(m: np.ndarray) -> float:
     """max |eigenvalue| of a symmetric matrix."""
-    vals = sym_eigendecompose(m).eigenvalues
+    vals = np.linalg.eigvalsh(symmetrize(m))
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    return float(sym_eigendecompose(m).eigenvalues[0])
+    return float(np.linalg.eigvalsh(symmetrize(m))[0])
 
 
 def householder_basis(w: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ A~_i = R^T A_i R (R R^T is the NT scaling point W, with W S W = X).  The
 Schur matrix is the Gram matrix A~ A~^T, one solve of it serves the
 predictor and the corrector, and each step length is one eigvalsh of a
 direction scaled by diag(v)^(-1/2).  An iteration factors one Cholesky of X,
-one eigh, one Cholesky (the definiteness check) and one solve of the Schur
-matrix, and four eigvalsh; S is never inverted.
+one eigh and one solve of the Schur matrix, and four eigvalsh; S is never
+inverted.
 
 The dual is  minimize b^T y  s.t.  S = sum_i y_i A_i - C >= 0, and an
 ``optimal`` solution certifies a duality gap below the requested tolerance.
@@ -262,7 +262,6 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
             np.matmul(r.T, np.matmul(a, r, out=ar), out=at)
             schur = at_flat @ at_flat.T
             schur.flat[::m + 1] += 1e-14 * np.trace(schur) / m
-            np.linalg.cholesky(schur)  # positive definiteness check only
             rd_t = r.T @ r_d @ r
             dy_aff, dy_cen = np.linalg.solve(schur, np.column_stack([
                 at_flat @ rd_t.ravel() - b,

@@ -25,6 +25,7 @@ nonzero coordinate and the sum is exactly 0 in any summation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional
@@ -204,8 +205,8 @@ class PsgdConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if self.step_size is not None and not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
         b = self.batch_size
         if b is not None and (isinstance(b, bool) or not isinstance(b, Integral)
                               or b < 1):
@@ -233,7 +234,7 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
     else:
         w = unit(np.asarray(w0, dtype=float))
     beta = cfg.resolved_step(p.sigma)
-    iterates = [w.copy()]
+    iterates = [w]
     x, y = ds.points, ds.labels.astype(float)
     full_batch = cfg.batch_size is None or cfg.batch_size >= ds.n
     denom = ds.n if full_batch else cfg.batch_size
@@ -246,5 +247,5 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
             xr, yr = x[rows], y[rows]
         grad = _band_gradient(xr, yr, w, p) / denom
         w = unit(w - beta * grad)
-        iterates.append(w.copy())
+        iterates.append(w)
     return iterates

@@ -81,6 +81,9 @@ class TesterConfig:
     c_hyper: float = 10.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lam, self.gamma, self.c1,
+                                       self.c_hyper))):
+            raise ValueError("lam, gamma, c1 and c_hyper must be finite")
         if self.lam < 1.0:
             raise ValueError("lam must be >= 1")
         if self.gamma <= 0:
@@ -129,9 +132,11 @@ def spectral_test(points, theta: float, mode: str) -> TesterVerdict:
 
 
 def strip_probability(data, w: np.ndarray, sigma: float) -> float:
-    """Exact empirical fraction with |<w, x>| <= sigma."""
+    """Exact empirical fraction with |<w, x>| <= sigma (sigma >= 0)."""
     pts = _as_points(data)
     w = _require_unit(w)
+    if not sigma >= 0.0:
+        raise PreconditionError("sigma must be nonnegative")
     return float(np.mean(np.abs(pts @ w) <= sigma))
 
 

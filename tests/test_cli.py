@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -191,6 +192,48 @@ def test_learn_zero_batch_size_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error:") and "batch_size" in err
 
 
+@pytest.mark.parametrize("name, value", [("gamma", 0), ("eps", math.inf),
+                                         ("lambda", math.nan)])
+def test_learn_bad_config_number_is_a_config_error(tmp_path, capsys, name,
+                                                   value):
+    learner = dict(LEARN_CFG["learner"], **{name: value})
+    cfg = write_config(tmp_path, "l.json", dict(LEARN_CFG, learner=learner))
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_learn_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, "l.json", LEARN_CFG)
+    argv = ["learn", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs]
+    assert main(argv) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_learn_pool_is_no_larger_than_the_trial_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    cfg = write_config(tmp_path, "l.json", dict(LEARN_CFG, trials=2))
+    out = str(tmp_path / "o")
+    assert main(["learn", "--config", cfg, "--out", out, "--jobs", "64"]) == 0
+    assert sizes == [2]
+    assert len(open(os.path.join(out, "aggregate.csv")).read().splitlines()) == 3
+
+
 def test_learn_from_dataset_file(tmp_path):
     scfg = write_config(tmp_path, "s.json", {
         "marginal": {"kind": "two_point_mass", "dim": 5, "spread": 10.0},
@@ -262,6 +305,15 @@ def test_malformed_input_is_a_config_error(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
+
+
+@pytest.mark.parametrize("sigma", [-0.1, math.nan])
+def test_strip_bad_sigma_is_a_config_error(tmp_path, capsys, sigma):
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_CSV)
+    cfg = write_config(tmp_path, "c.json", dict(STRIP_CFG, sigma=sigma))
+    assert main(["test", str(data), "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_output_path_checked_before_work(tmp_path, monkeypatch):

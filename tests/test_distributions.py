@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from halftest.distributions import (Dataset, MarginalSpec, NoiseModel,
-                                    empirical_error, empirical_opt_upper_bound,
-                                    from_binary, from_csv, label_dataset,
-                                    sample_marginal, sign_pm1, to_binary,
-                                    to_csv)
+from halftest.distributions import (CLAIMED, Dataset, MarginalSpec,
+                                    NoiseModel, empirical_error, from_binary,
+                                    from_csv, label_dataset, sample_marginal,
+                                    sign_pm1, to_binary, to_csv)
 from halftest.errors import UnknownKindError
 
 GAUSS2 = MarginalSpec("standard_gaussian", 2)
@@ -73,6 +72,15 @@ def test_determinism_and_streams():
 def test_unknown_kind():
     with pytest.raises(UnknownKindError):
         MarginalSpec("levy_flight", 2)
+
+
+def test_claims_are_read_from_the_family():
+    cube = MarginalSpec("uniform_cube", 2)
+    assert (cube.claimed_lambda, cube.claimed_gamma) == CLAIMED["uniform_cube"]
+    heavy = MarginalSpec("student_t", 2, nu=3)
+    assert heavy.claimed_lambda is None and heavy.claimed_gamma is None
+    with pytest.raises(AttributeError):
+        heavy.claimed_lambda = 1.0
 
 
 def test_isotropy_of_nice_families():
@@ -141,12 +149,12 @@ def test_empirical_opt_upper_bound():
     pts = sample_marginal(GAUSS2, 10_000, seed=15)
     w_star = np.array([1.0, 0.0])
     ds = label_dataset(pts, NoiseModel("clean", tuple(w_star)), seed=15)
-    assert empirical_opt_upper_bound(ds, [w_star]) == 0.0
+    assert empirical_error(w_star, ds) == 0.0
     # complement candidate: no point is exactly on the hyperplane here
-    assert empirical_opt_upper_bound(ds, [-w_star]) == 1.0
+    assert empirical_error(-w_star, ds) == 1.0
     noisy = label_dataset(sample_marginal(GAUSS2, 100_000, seed=16),
                           NoiseModel("massart", tuple(w_star), eta=0.1), seed=16)
-    val = empirical_opt_upper_bound(noisy, [np.array([0.0, 1.0]), w_star])
+    val = min(empirical_error(w, noisy) for w in (np.array([0.0, 1.0]), w_star))
     assert 0.09 <= val <= 0.11
 
 

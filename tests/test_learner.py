@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,15 @@ def boundary_flip_source(kind, seed, **kwargs):
     return SyntheticSource(MarginalSpec(kind, 5, **kwargs),
                            NoiseModel("agnostic", W_STAR5, rule="boundary_flip",
                                       width=BOUNDARY_5PCT), seed=seed)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lam", math.nan), ("lam", math.inf), ("gamma", math.nan),
+    ("gamma", math.inf), ("gamma", 0.0), ("gamma", -1.0), ("eps", math.nan),
+    ("eps", math.inf), ("eta", math.nan), ("eta", math.inf)])
+def test_learner_config_rejects_bad_numbers(name, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(agnostic_config(), **{name: value})
 
 
 def test_sigma_grid_massart_plugin():

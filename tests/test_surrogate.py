@@ -367,6 +367,12 @@ def test_psgd_config_rejects_bad_batch_size(batch_size):
         PsgdConfig(iterations=10, batch_size=batch_size)
 
 
+@pytest.mark.parametrize("step_size", [float("nan"), float("inf")])
+def test_psgd_config_rejects_non_finite_step_size(step_size):
+    with pytest.raises(ValueError):
+        PsgdConfig(iterations=10, step_size=step_size)
+
+
 def test_psgd_config_accepts_batch_sizes():
     for batch_size in (None, 1, 64, np.int64(8)):
         assert PsgdConfig(iterations=10, batch_size=batch_size).batch_size == batch_size

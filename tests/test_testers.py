@@ -52,6 +52,19 @@ def test_strip_probability_edges():
     assert strip_probability(far, w, 0.5) == 0.0
 
 
+@pytest.mark.parametrize("sigma", [-0.1, math.nan])
+def test_strip_probability_rejects_bad_sigma(sigma):
+    with pytest.raises(PreconditionError):
+        strip_probability(np.zeros((2, 2)), np.array([1.0, 0.0]), sigma)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["lam", "gamma", "c1", "c_hyper"])
+def test_tester_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError):
+        TesterConfig(**{name: value})
+
+
 def test_strip_probability_gaussian():
     pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 100_000, seed=40)
     w = unit(np.array([1.0, 1.0, 1.0]))
