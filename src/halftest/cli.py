@@ -59,6 +59,35 @@ class ConfigError(Exception):
     pass
 
 
+# The keys each config section may hold, all of them read.  Any other key is
+# a config error, so a misspelt key cannot fall back to its default.
+CONFIG_KEYS = {
+    "sample": ("marginal", "noise", "n", "seed", "out"),
+    "test": ("tester", "tester_config", "w", "theta", "mode", "sigma", "eta"),
+    "learn": ("learner", "marginal", "noise", "dataset", "trials", "seeds",
+              "seed", "out"),
+    "oracle": ("check", "seed", "sigma", "directions", "instances", "w_star",
+               "target", "offset"),
+    "marginal": ("kind", "dim", "nu", "spread", "direction"),
+    "noise": ("kind", "target", "eta", "profile", "width", "rule", "flip_prob"),
+    "tester": ("lambda", "gamma", "c1", "c_hyper"),
+    "learner": ("lambda", "gamma", "eps", "noise", "eta", "psgd", "tester",
+                "n1", "n2", "repetitions"),
+    "psgd": ("iterations", "step_size", "batch_size"),
+}
+
+
+def _section(name: str, c) -> dict:
+    """``c``, checked to be a JSON object that holds only keys of ``name``."""
+    if not isinstance(c, dict):
+        raise ConfigError(f"{name} config must be a JSON object")
+    unknown = sorted(set(c) - set(CONFIG_KEYS[name]))
+    if unknown:
+        raise ConfigError(f"unknown {name} config key(s) "
+                          + ", ".join(map(repr, unknown)))
+    return c
+
+
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -89,6 +118,7 @@ def _report(cfg: dict, body: dict) -> str:
 # config -> objects
 
 def marginal_from_config(c: dict) -> MarginalSpec:
+    c = _section("marginal", c)
     return MarginalSpec(
         kind=c["kind"], dim=int(c["dim"]),
         nu=c.get("nu"), spread=c.get("spread"),
@@ -105,6 +135,7 @@ def _target_vector(c: dict, dim: int) -> tuple:
 
 
 def noise_from_config(c: dict, dim: int) -> NoiseModel:
+    c = _section("noise", c)
     return NoiseModel(
         kind=c["kind"], target=_target_vector(c, dim),
         eta=float(c.get("eta", 0.0)), profile=c.get("profile", "constant"),
@@ -113,19 +144,22 @@ def noise_from_config(c: dict, dim: int) -> NoiseModel:
 
 
 def tester_from_config(c: dict) -> TesterConfig:
+    c = _section("tester", c)
     return TesterConfig(
         lam=float(c.get("lambda", 3.0)), gamma=float(c.get("gamma", 1.0)),
         c1=float(c.get("c1", 4.0)), c_hyper=float(c.get("c_hyper", 10.0)))
 
 
 def psgd_from_config(c: dict) -> PsgdConfig:
+    # no seed: the learner seeds every sigma's PSGD run itself
+    c = _section("psgd", c)
     return PsgdConfig(iterations=int(c.get("iterations", 400)),
                       step_size=c.get("step_size"),
-                      batch_size=c.get("batch_size"),
-                      seed=int(c.get("seed", 0)))
+                      batch_size=c.get("batch_size"))
 
 
 def learner_from_config(c: dict) -> LearnerConfig:
+    c = _section("learner", c)
     return LearnerConfig(
         lam=float(c.get("lambda", 1.0)), gamma=float(c.get("gamma", 1.0)),
         eps=float(c["eps"]),
@@ -135,6 +169,34 @@ def learner_from_config(c: dict) -> LearnerConfig:
         tester=tester_from_config(c.get("tester", {})),
         n1=int(c.get("n1", 100_000)), n2=int(c.get("n2", 100_000)),
         repetitions=int(c.get("repetitions", 1)))
+
+
+def read_config(command: str, cfg) -> dict:
+    """The sections of a ``command`` config, built without sampling or
+    learning: ``tester`` (test), ``learner`` (learn), ``marginal`` and
+    ``noise`` (sample, and learn without a dataset).  A missing or
+    malformed section, or a key the command does not read, is a
+    ConfigError."""
+    cfg = _section(command, cfg)
+    parts = {}
+    if command == "test":
+        parts["tester"] = tester_from_config(cfg.get("tester_config", {}))
+    if command == "learn":
+        if "learner" not in cfg:
+            raise ConfigError("learn config needs a 'learner' section")
+        parts["learner"] = learner_from_config(cfg["learner"])
+        if "dataset" in cfg:
+            return parts
+        for key in ("marginal", "noise"):
+            if key not in cfg:
+                raise ConfigError(
+                    f"learn config needs a '{key}' section (or 'dataset')")
+    if command in ("sample", "learn"):
+        marginal = marginal_from_config(cfg["marginal"])
+        parts["marginal"] = marginal
+        parts["noise"] = noise_from_config(cfg.get("noise", {"kind": "clean"}),
+                                           marginal.dim)
+    return parts
 
 
 def resolved_constants(tc: TesterConfig) -> dict:
@@ -170,7 +232,7 @@ def _trial_seeds(cfg: dict) -> list:
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
-    marginal = marginal_from_config(cfg["marginal"])
+    parts = read_config("sample", cfg)
     n = int(cfg.get("n", 0))
     if n < 1:
         raise ConfigError("n must be >= 1")
@@ -178,18 +240,16 @@ def cmd_sample(args) -> int:
     if not out:
         raise ConfigError("sample needs an output path (--out)")
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    points = sample_marginal(marginal, n, seed)
-    noise = noise_from_config(cfg.get("noise", {"kind": "clean"}), marginal.dim)
-    ds = label_dataset(points, noise, seed)
+    points = sample_marginal(parts["marginal"], n, seed)
+    ds = label_dataset(points, parts["noise"], seed)
     atomic_write(out, to_csv(ds) if str(out).endswith(".csv") else to_binary(ds))
     return EXIT_ACCEPT
 
 
-def _run_tester(ds: Dataset, cfg: dict):
+def _run_tester(ds: Dataset, cfg: dict, tc: TesterConfig):
     name = cfg.get("tester")
     if name not in TESTER_NAMES:
         raise ConfigError(f"tester must be one of {TESTER_NAMES}")
-    tc = tester_from_config(cfg.get("tester_config", {}))
     w = None
     if name != "hypercontractivity":
         if "w" not in cfg:
@@ -215,9 +275,9 @@ def _run_tester(ds: Dataset, cfg: dict):
 
 def cmd_test(args) -> int:
     cfg = _load_config(args.config)
+    tc = read_config("test", cfg)["tester"]
     ds = load_dataset(args.dataset)
-    result = _run_tester(ds, cfg)
-    tc = tester_from_config(cfg.get("tester_config", {}))
+    result = _run_tester(ds, cfg, tc)
     if isinstance(result, dict):
         body, code = {"result": result}, EXIT_ACCEPT
     else:
@@ -233,14 +293,12 @@ def cmd_test(args) -> int:
 
 def _learn_trial(payload) -> dict:
     cfg, seed = payload
-    learner_cfg = learner_from_config(cfg["learner"])
+    parts = read_config("learn", cfg)
     if "dataset" in cfg:
         source = FixedDatasetSource(load_dataset(cfg["dataset"]))
     else:
-        marginal = marginal_from_config(cfg["marginal"])
-        noise = noise_from_config(cfg["noise"], marginal.dim)
-        source = SyntheticSource(marginal, noise, seed)
-    outcome = universal_tester_learner(source, learner_cfg, seed=seed)
+        source = SyntheticSource(parts["marginal"], parts["noise"], seed)
+    outcome = universal_tester_learner(source, parts["learner"], seed=seed)
     record = json.loads(outcome.to_json())
     wall = record.pop("wall_time")
     record["seed"] = seed
@@ -251,13 +309,7 @@ def cmd_learn(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     cfg = _load_config(args.config)
-    if "learner" not in cfg:
-        raise ConfigError("learn config needs a 'learner' section")
-    if "dataset" not in cfg:
-        for key in ("marginal", "noise"):
-            if key not in cfg:
-                raise ConfigError(
-                    f"learn config needs a '{key}' section (or 'dataset')")
+    tc = read_config("learn", cfg)["learner"].tester
     out_dir = args.out or cfg.get("out")
     if not out_dir:
         raise ConfigError("learn needs an output directory (--out)")
@@ -274,7 +326,6 @@ def cmd_learn(args) -> int:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_learn_trial, payloads))
 
-    tc = tester_from_config(cfg["learner"].get("tester", {}))
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for i, res in enumerate(results):
@@ -371,6 +422,7 @@ def _oracle_report(ds: Dataset, cfg: dict) -> dict:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
+    read_config("oracle", cfg)
     ds = load_dataset(args.dataset)
     report = _oracle_report(ds, cfg)
     text = _report(cfg, report)

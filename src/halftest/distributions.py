@@ -107,9 +107,9 @@ class NoiseModel:
       agnostic                 deterministic or randomized corruption of
                                (x, clean label); built-in rules:
                                "boundary_flip" (flip iff |<w*,x>| <= width)
-                               and "random_flip" (flip with probability p);
-                               a callable rule(points, clean, gen) -> labels
-                               is also accepted
+                               and "random_flip" (flip with probability p)
+
+    ``width`` must be finite and >= 0 and ``flip_prob`` in [0, 1].
     """
 
     kind: str
@@ -117,7 +117,7 @@ class NoiseModel:
     eta: float = 0.0
     profile: str = "constant"
     width: float = 0.0
-    rule: object = None
+    rule: Optional[str] = None
     flip_prob: float = 0.0
 
     def __post_init__(self):
@@ -125,6 +125,11 @@ class NoiseModel:
             raise UnknownKindError(f"unknown noise kind {self.kind!r}")
         if self.kind == "massart" and not 0.0 <= self.eta < 0.5:
             raise ValueError("massart requires eta in [0, 1/2)")
+        # written so that NaN fails them
+        if not 0.0 <= self.width < np.inf:
+            raise ValueError("width must be finite and >= 0")
+        if not 0.0 <= self.flip_prob <= 1.0:
+            raise ValueError("flip_prob must lie in [0, 1]")
         w = np.asarray(self.target, dtype=float)
         if not is_unit(w, tol=1e-9):
             raise ValueError("noise target must be a unit vector")
@@ -245,9 +250,7 @@ def label_dataset(points: np.ndarray, noise: NoiseModel, seed: int,
         return Dataset(points, labels)
 
     # agnostic
-    if callable(noise.rule):
-        labels = np.asarray(noise.rule(points, clean, gen)).astype(np.int8)
-    elif noise.rule == "boundary_flip":
+    if noise.rule == "boundary_flip":
         margins = np.abs(points @ w_star)
         flips = margins <= noise.width
         labels = np.where(flips, -clean, clean).astype(np.int8)

@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from .numerics import check_finite
-from .sdp import CERTIFIED, SdpProblem, SdpSolution, solve_sdp
+from .sdp import CERTIFIED, OPTIMAL, SdpProblem, SdpSolution, solve_sdp
 
 
 def empirical_fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
@@ -122,19 +122,14 @@ def build_degree4_relaxation(c: np.ndarray) -> SdpProblem:
 
 def solve_relaxation(c: np.ndarray, tol: float = 1e-8,
                      threshold: float | None = None) -> tuple[float, SdpSolution]:
-    """Relaxation value, NaN unless the solve is ``optimal`` or ``certified``.
+    """The certified upper bound ``sol.bound`` on the relaxation value, NaN
+    unless the solve is ``optimal`` or ``certified``.
 
-    Without a threshold the solve runs to a duality gap of ``tol`` and the
-    value is max(primal, dual) objective, within the gap of the optimum,
-    capped at the rigorous upper bound ``sol.bound``.
-    Given a threshold the solve stops, with status ``certified``, at the
-    first iterate whose rigorous upper bound ``sol.bound`` is at most the
-    threshold, and that bound is the value; otherwise it runs on as
-    without one.
+    Without a threshold the solve runs to a duality gap of ``tol``, where the
+    bound is within about the gap of the optimum.  Given a threshold the
+    solve stops, with status ``certified``, at the first iterate whose bound
+    is at most the threshold; otherwise it runs on as without one, and an
+    ``optimal`` solve then has a bound above the threshold.
     """
     sol = solve_sdp(build_degree4_relaxation(c), tol=tol, threshold=threshold)
-    if sol.status == CERTIFIED:
-        return sol.bound, sol
-    if not sol.optimal:
-        return math.nan, sol
-    return min(max(sol.value, sol.dual_value), sol.bound), sol
+    return (sol.bound if sol.status in (CERTIFIED, OPTIMAL) else math.nan), sol

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -388,3 +389,168 @@ def test_oracle_strip_stats_gaussian(tmp_path):
     ocfg = write_config(tmp_path, "o.json", {
         "check": "strip-stats", "sigma": 0.1, "offset": 0.3, "seed": 2})
     assert main(["oracle", data, "--config", ocfg]) == 0
+
+
+def _gaussian_sample(tmp_path, n, seed, dim=3):
+    cfg = write_config(tmp_path, "g.json", {
+        "marginal": {"kind": "standard_gaussian", "dim": dim},
+        "noise": {"kind": "clean", "target": "e1"}, "n": n, "seed": seed})
+    data = str(tmp_path / "g.csv")
+    assert main(["sample", "--config", cfg, "--out", data]) == 0
+    return data
+
+
+# one small config per command; each case below adds a key to one section
+KEY_CHECK_CFGS = {
+    "sample": {"marginal": {"kind": "standard_gaussian", "dim": 2},
+               "noise": {"kind": "clean", "target": "e1"}, "n": 10, "seed": 1},
+    "test": {"tester": "hypercontractivity", "tester_config": {"gamma": 1.0}},
+    "learn": LEARN_CFG,
+    "oracle": {"check": "fourth-moment"},
+}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("sample", ()), ("sample", ("marginal",)), ("sample", ("noise",)),
+    ("test", ()), ("test", ("tester_config",)),
+    ("learn", ()), ("learn", ("learner",)), ("learn", ("learner", "tester")),
+    ("learn", ("learner", "psgd")), ("oracle", ()),
+], ids=["sample", "marginal", "noise", "test", "tester_config", "learn",
+        "learner", "learner.tester", "psgd", "oracle"])
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys, command,
+                                              section):
+    cfg = json.loads(json.dumps(KEY_CHECK_CFGS[command]))
+    part = cfg
+    for key in section:
+        part = part[key]
+    part["colour"] = "blue"
+    path = write_config(tmp_path, "c.json", cfg)
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_CSV)
+    argv = {"sample": ["sample", "--config", path, "--out", str(tmp_path / "o.csv")],
+            "test": ["test", str(data), "--config", path],
+            "learn": ["learn", "--config", path, "--out", str(tmp_path / "o")],
+            "oracle": ["oracle", str(data), "--config", path]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'colour'" in err
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "o").exists()
+
+
+def test_misspelt_tester_key_cannot_flip_a_verdict(tmp_path, capsys):
+    # the misspelt key used to leave c_hyper at its default and accept
+    data = _gaussian_sample(tmp_path, 2000, seed=1)
+    good = write_config(tmp_path, "t.json", {
+        "tester": "hypercontractivity",
+        "tester_config": {"gamma": 1.0, "c_hyper": 1.5}})
+    assert main(["test", data, "--config", good]) == 1
+    bad = write_config(tmp_path, "t2.json", {
+        "tester": "hypercontractivity",
+        "tester_config": {"gamma": 1.0, "c_hyperr": 1.5}})
+    capsys.readouterr()
+    assert main(["test", data, "--config", bad]) == 2
+    assert "'c_hyperr'" in capsys.readouterr().err
+
+
+def test_learn_psgd_seed_is_not_a_key(tmp_path, capsys):
+    # the learner seeds each sigma's PSGD run itself, so a seed here is unread
+    learner = dict(LEARN_CFG["learner"],
+                   psgd={"iterations": 50, "batch_size": 64, "seed": 12345})
+    cfg = write_config(tmp_path, "l.json", dict(LEARN_CFG, learner=learner))
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", [
+    {"kind": "agnostic", "rule": "random_flip", "flip_prob": 2.0},
+    {"kind": "agnostic", "rule": "random_flip", "flip_prob": math.nan},
+    {"kind": "agnostic", "rule": "boundary_flip", "width": -1.0},
+], ids=["flip_prob_2", "flip_prob_nan", "width_negative"])
+def test_sample_impossible_noise_is_a_config_error(tmp_path, capsys, noise):
+    cfg = write_config(tmp_path, "s.json", {
+        "marginal": {"kind": "standard_gaussian", "dim": 2},
+        "noise": dict(noise, target="e1"), "n": 5, "seed": 1})
+    out = tmp_path / "o.csv"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_oracle_structural_check(tmp_path, gauss_csv, capsys):
+    cfg = write_config(tmp_path, "o.json", {
+        "check": "structural", "sigma": 0.1, "instances": 3,
+        "w_star": [1, 0, 0], "seed": 2})
+    assert main(["oracle", gauss_csv, "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["check"] == "structural" and report["pass"] is True
+    assert 1 <= report["instances"] <= 3 and report["violations"] == 0
+
+
+def test_anticoncentration_tester(tmp_path, gauss_csv, capsys):
+    cfg = write_config(tmp_path, "t.json", {
+        "tester": "anticoncentration", "w": [1, 0, 0], "sigma": 0.1})
+    assert main(["test", gauss_csv, "--config", cfg]) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diag["hyper_stop_reason"] == "certified"
+    assert diag["hyper_slack"] >= 0
+    assert "conditional_probability_bound" in diag
+
+
+def _trial_seeds_of(out, trials):
+    return [json.loads(open(os.path.join(out, f"trial_{i:03d}.json")).read())
+            ["outcome"]["seed"] for i in range(trials)]
+
+
+def test_learn_with_a_seeds_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, "l.json",
+                       dict(LEARN_CFG, trials=2, seeds=[11, 4]))
+    out = str(tmp_path / "o")
+    assert main(["learn", "--config", cfg, "--out", out]) == 0
+    assert json.loads(capsys.readouterr().out) == {"trials": 2,
+                                                   "accept_rate": 0.0}
+    assert _trial_seeds_of(out, 2) == [11, 4]
+
+
+def test_learn_seed_option_overrides_the_config(tmp_path):
+    cfg = write_config(tmp_path, "l.json", dict(LEARN_CFG, trials=2))
+    out = str(tmp_path / "o")
+    assert main(["learn", "--config", cfg, "--out", out, "--seed", "20"]) == 0
+    assert _trial_seeds_of(out, 2) == [20, 21]
+
+
+def test_sample_with_an_explicit_target(tmp_path):
+    cfg = write_config(tmp_path, "s.json", {
+        "marginal": {"kind": "standard_gaussian", "dim": 2},
+        "noise": {"kind": "clean", "target": [0.0, -2.0]}, "n": 50, "seed": 3})
+    out = str(tmp_path / "o.csv")
+    assert main(["sample", "--config", cfg, "--out", out]) == 0
+    ds = load_dataset(out)
+    assert list(ds.labels) == [1 if -x2 >= 0 else -1 for x2 in ds.points[:, 1]]
+
+
+def test_sample_massart_near_boundary(tmp_path):
+    cfg = write_config(tmp_path, "s.json", {
+        "marginal": {"kind": "standard_gaussian", "dim": 2},
+        "noise": {"kind": "massart", "eta": 0.4, "profile": "near_boundary",
+                  "width": 0.5, "target": "e1"}, "n": 400, "seed": 3})
+    out = str(tmp_path / "o.csv")
+    assert main(["sample", "--config", cfg, "--out", out]) == 0
+    ds = load_dataset(out)
+    clean = [1 if x1 >= 0 else -1 for x1 in ds.points[:, 0]]
+    flipped = ds.labels != clean
+    near = abs(ds.points[:, 0]) <= 0.5
+    assert flipped.any() and not flipped[~near].any()
+
+
+def test_readme_configs_pass_the_config_readers():
+    # every JSON example in README is read as its command would read it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```json\n(.*?)```", readme, re.S):
+        cfg = json.loads(block)
+        command = next(c for c, key in (("test", "tester"), ("learn", "learner"),
+                                        ("oracle", "check"), ("sample", "marginal"))
+                       if key in cfg)
+        cli.read_config(command, cfg)
+        commands.append(command)
+    assert sorted(set(commands)) == ["learn", "oracle", "sample", "test"]

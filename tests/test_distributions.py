@@ -135,6 +135,29 @@ def test_massart_eta_range():
         NoiseModel("massart", (1.0, 0.0), eta=0.5)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"rule": "random_flip", "flip_prob": 2.0},
+    {"rule": "random_flip", "flip_prob": -1.0},
+    {"rule": "random_flip", "flip_prob": math.nan},
+    {"rule": "boundary_flip", "width": -1.0},
+    {"rule": "boundary_flip", "width": math.nan},
+    {"rule": "boundary_flip", "width": math.inf},
+], ids=["flip_prob_2", "flip_prob_-1", "flip_prob_nan", "width_-1",
+        "width_nan", "width_inf"])
+def test_noise_rejects_impossible_parameters(kwargs):
+    with pytest.raises(ValueError):
+        NoiseModel("agnostic", (1.0, 0.0), **kwargs)
+
+
+@pytest.mark.parametrize("flip_prob, flipped", [(0.0, 0), (1.0, 5)])
+def test_random_flip_at_the_ends_of_its_range(flip_prob, flipped):
+    pts = sample_marginal(GAUSS2, 5, seed=1)
+    noise = NoiseModel("agnostic", (1.0, 0.0), rule="random_flip",
+                       flip_prob=flip_prob)
+    ds = label_dataset(pts, noise, seed=1)
+    assert np.count_nonzero(ds.labels != sign_pm1(pts[:, 0])) == flipped
+
+
 def test_agnostic_boundary_flip_opt():
     pts = sample_marginal(GAUSS2, 50_000, seed=14)
     noise = NoiseModel("agnostic", (1.0, 0.0), rule="boundary_flip", width=0.1)

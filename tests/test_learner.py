@@ -14,7 +14,8 @@ from halftest.learner import (FixedDatasetSource, LearnerConfig,
                               make_sigma_grid, runnable_sigmas,
                               universal_tester_learner)
 from halftest.surrogate import PsgdConfig, gradient_norms, psgd
-from halftest.testers import TesterConfig
+from halftest.testers import (TesterConfig, TesterVerdict,
+                              local_disagreement_test)
 
 W_STAR5 = (1.0, 0.0, 0.0, 0.0, 0.0)
 BOUNDARY_5PCT = 0.06270677794321385  # Pr[|N(0,1)| <= w] = 0.05
@@ -301,3 +302,90 @@ def test_accept_tests_every_sigma():
         assert info["stationary_accepted"] and "stationary" in info
         assert info["disagreement_accepted"] and "disagreement" in info
     assert len(out.trace["candidate_errors"]) == 2 * len(sigmas)
+
+
+def _sigma_keys(out):
+    return list(out.trace["per_sigma"])
+
+
+def _runnable_keys(out, count):
+    return [f"{s:.10g}" for s in out.trace["sigma_runnable"][:count]]
+
+
+def test_gradient_filter_reject_at_a_later_sigma(monkeypatch):
+    # the first sigma passes every check; the second fails the filter
+    calls = []
+
+    def rigged_norms(iterates, ds, params):
+        calls.append(1)
+        norms = gradient_norms(iterates, ds, params)
+        return norms if len(calls) == 1 else norms + 1e6
+
+    monkeypatch.setattr(learner, "gradient_norms", rigged_norms)
+    out = universal_tester_learner(boundary_flip_source("standard_gaussian", 1200),
+                                   agnostic_config(), seed=1200)
+    assert not out.accepted and out.stage == "gradient_filter"
+    assert _sigma_keys(out) == _runnable_keys(out, 2)
+    first, last = out.trace["per_sigma"].values()
+    assert first["disagreement_accepted"]
+    assert last["failed_gradient_filter"] and "stationary" not in last
+
+
+def test_disagreement_reject_at_a_later_sigma(monkeypatch):
+    calls = []
+
+    def rigged_disagreement(points, w, theta, cfg):
+        calls.append(1)
+        verdict = local_disagreement_test(points, w, theta, cfg)
+        return verdict if len(calls) == 1 else TesterVerdict(
+            accepted=False, diagnostics={"rejected_by": "spectral"})
+
+    monkeypatch.setattr(learner, "local_disagreement_test", rigged_disagreement)
+    out = universal_tester_learner(boundary_flip_source("standard_gaussian", 1200),
+                                   agnostic_config(), seed=1200)
+    assert not out.accepted and out.stage == "disagreement_test"
+    assert _sigma_keys(out) == _runnable_keys(out, 2)
+    last = out.trace["per_sigma"][_sigma_keys(out)[-1]]
+    assert last["stationary_accepted"] and not last["disagreement_accepted"]
+
+
+def test_no_runnable_sigma_rejects_before_psgd(monkeypatch):
+    # a tester lambda of 1e6 caps sigma at 5e-7, below the whole grid
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("PSGD ran without a runnable sigma")
+
+    monkeypatch.setattr(learner, "psgd", must_not_run)
+    cfg = dataclasses.replace(agnostic_config(), n1=100, n2=100,
+                              tester=TesterConfig(lam=1e6, c1=3.0))
+    out = universal_tester_learner(boundary_flip_source("standard_gaussian", 1),
+                                   cfg, seed=1)
+    assert not out.accepted and out.stage == "empty_sigma_grid"
+    assert out.trace["sigma_grid"] and out.trace["sigma_runnable"] == []
+    assert out.trace["per_sigma"] == {}
+
+
+def test_repetition_majority_reject(monkeypatch):
+    runs = []
+
+    def recorded_run(*args, **kwargs):
+        runs.append(single_run(*args, **kwargs))
+        return runs[-1]
+
+    single_run = learner._single_run
+    monkeypatch.setattr(learner, "_single_run", recorded_run)
+    cfg = dataclasses.replace(agnostic_config(), n1=20_000, n2=20_000,
+                              repetitions=3)
+    out = universal_tester_learner(
+        boundary_flip_source("two_point_mass", 1300, spread=10.0), cfg, seed=1300)
+    assert not out.accepted and out.stage == "repetition_majority"
+    assert out.trace == {"repetitions": 3, "accept_count": 0}
+    assert len(runs) == 3
+    for run in runs:
+        assert run.stage == "stationary_test"
+        assert _sigma_keys(run) == _runnable_keys(run, 1)
+
+
+def test_equivariant_init_falls_back_to_e1_on_a_zero_sum():
+    x = np.array([0.3, -1.2, 2.0])
+    ds = Dataset(np.stack([x, -x]), np.array([1, 1]))
+    assert np.array_equal(equivariant_init(ds), [1.0, 0.0, 0.0])

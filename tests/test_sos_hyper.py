@@ -272,21 +272,55 @@ def test_hypercontractivity_solver_errors(monkeypatch):
     fail_with(np.linalg.LinAlgError("not positive definite"))
     verdict = hypercontractivity_test(pts, 1.0, 10.0)
     assert not verdict.accepted
-    assert verdict.diagnostics["solver_failure"] == "LinAlgError"
+    assert verdict.diagnostics["stop_reason"] == "LinAlgError"
+    assert "sdp_value" not in verdict.diagnostics
     # a programming error is not a numerical failure and must surface
     fail_with(TypeError("bad argument"))
     with pytest.raises(TypeError):
         hypercontractivity_test(pts, 1.0, 10.0)
-    # a solve that ends without a certified value names why
-    for status, value, failure in (("max_iterations", 1.0, "max_iterations"),
-                                   ("optimal", math.inf, "non_finite_value")):
-        sol = SdpSolution(X=np.zeros((1, 1)), value=value, dual_value=value,
-                          status=status)
-        monkeypatch.setattr(testers, "solve_relaxation",
-                            lambda *args, sol=sol, **kwargs: (sol.value, sol))
-        verdict = hypercontractivity_test(pts, 1.0, 10.0)
-        assert not verdict.accepted
-        assert verdict.diagnostics["solver_failure"] == failure
+    # a solve that ends without a certified value names why and has no value
+    sol = SdpSolution(X=np.zeros((1, 1)), value=1.0, dual_value=1.0,
+                      status="max_iterations")
+    monkeypatch.setattr(testers, "solve_relaxation",
+                        lambda *args, **kwargs: (math.nan, sol))
+    verdict = hypercontractivity_test(pts, 1.0, 10.0)
+    assert not verdict.accepted
+    assert verdict.diagnostics["stop_reason"] == "max_iterations"
+    assert "sdp_value" not in verdict.diagnostics
+
+
+def _criterion_05_06_samples():
+    """Seed 0 of every criterion 05 cell and the first two of criterion 06."""
+    for kind in ("standard_gaussian", "product_laplace", "uniform_cube"):
+        for d in (2, 3, 4, 5):
+            n = min(int((2 * d * math.log(16 * d)) ** 4), 100_000)
+            yield sample_marginal(MarginalSpec(kind, d), n, seed=0)
+    for seed in range(2):
+        pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 10_000,
+                              seed=600 + seed)
+        gen = np.random.default_rng(seed)
+        mask = gen.random(10_000) < 0.01
+        pts[mask] = 0.0
+        pts[mask, 0] = np.where(gen.random(int(mask.sum())) < 0.5, 10.0, -10.0)
+        yield pts
+
+
+def test_sdp_value_is_the_certified_bound_on_every_verdict():
+    verdicts = {True: 0, False: 0}
+    for pts in _criterion_05_06_samples():
+        # c_hyper 3 puts some completeness samples on the reject side
+        for c_hyper in (3.0, 10.0):
+            verdict = hypercontractivity_test(pts, 1.0, c_hyper)
+            diag = verdict.diagnostics
+            assert verdict.accepted == (diag["slack"] >= 0)
+            assert diag["slack"] == diag["threshold"] - diag["sdp_value"]
+            verdicts[verdict.accepted] += 1
+        value, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
+        assert sol.optimal and value == sol.bound
+        if pts.shape[1] == 3:   # the oracle's restarts cost about 0.6 s each
+            brute, _ = brute_force_max_fourth_moment(pts, mode="ascent")
+            assert value >= brute
+    assert min(verdicts.values()) >= 10, verdicts
 
 
 def _spiked(seed):
