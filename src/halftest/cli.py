@@ -317,6 +317,9 @@ def cmd_learn(args) -> int:
         cfg = dict(cfg)
         cfg["seed"] = int(args.seed)
     seeds = _trial_seeds(cfg)
+    if "dataset" in cfg and len(seeds) > 1:
+        # every trial would read the same first rows of the file
+        raise ConfigError("a dataset file serves one trial; set trials to 1")
     # a forked pool starts all its workers at the first submit
     jobs = min(args.jobs, len(seeds))
     payloads = [(cfg, seed) for seed in seeds]

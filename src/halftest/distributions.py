@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -175,6 +176,12 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """||x|| of every point, computed on first use and kept with the
+        dataset (so it is freed with it); ``points`` must not change after."""
+        return np.linalg.norm(self.points, axis=1)
 
 
 def sample_marginal(spec: MarginalSpec, n: int, seed: int,

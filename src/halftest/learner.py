@@ -42,7 +42,8 @@ every iterate, every survivor, and the final output.
 
 Repetition wrapper: ``repetitions`` independent runs at delta' = 1/3 each,
 accept iff at least half accept, and return the accepted hypothesis with
-the smallest error on a dedicated held-out split.
+the smallest error on a dedicated held-out split.  The wrapper's trace
+keeps each repetition's stage and trace under ``per_repetition``.
 """
 
 from __future__ import annotations
@@ -296,8 +297,11 @@ def universal_tester_learner(source: SampleSource, cfg: LearnerConfig,
                 for r in range(cfg.repetitions)]
     accepted = [o for o in outcomes if o.accepted]
     total_time = sum(o.wall_time for o in outcomes)
+    # stages and traces only: timings stay out of the deterministic JSON
     agg_trace = {"repetitions": cfg.repetitions,
-                 "accept_count": len(accepted)}
+                 "accept_count": len(accepted),
+                 "per_repetition": [{"stage": o.stage, "trace": o.trace}
+                                    for o in outcomes]}
     if len(accepted) < cfg.repetitions / 2.0:
         return LearnerOutcome(accepted=False, stage="repetition_majority",
                               trace=agg_trace, wall_time=total_time)

@@ -21,6 +21,13 @@ The surrogate loss of a unit vector w on a dataset is the mean of
 sum it as ``<g, w> w - g`` with g = sum l' y x over the band |<w,x>| < sigma/2
 (l' vanishes outside it), so on a line mass along e1 with w = +-e1, g has one
 nonzero coordinate and the sum is exactly 0 in any summation order.
+
+Both work on signed rows y x.  Since y = +-1, |<w, y x>| = |<w, x>| exactly,
+and l' is even, so one matrix gives the band, the weights l'(|<w,x>|) and
+g = l' (y x) with no label array, bit for bit as the unsigned form.
+Full-batch steps and the filter keep the signed rows of a ``_Slab``, whose
+limits use the row norms ||x|| that a ``Dataset`` computes once
+(``Dataset.row_norms``) and frees with itself.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ import numpy as np
 
 from . import rng
 from .distributions import Dataset
-from .errors import DimMismatchError
-from .numerics import check_finite, unit
+from .errors import DimMismatchError, NonFiniteError, PreconditionError
+from .numerics import UNIT_TOL, check_finite, unit
 
 # Derived ramp constant, used by the structural-inequality oracle.
 RAMP_DERIV_BOUND = 3.0      # l' <= 3/sigma everywhere (actual max is 4/3)
@@ -81,14 +88,28 @@ def smooth_ramp_derivative(t, p: RampParams):
     One masked Hermite expression covers every piece: |t| <= sigma/6 clips
     to s = 0, where fl(1/3) * 3 / sigma is exactly 1 / sigma, and the mask
     zeroes the tails (without it, inputs within an ulp of sigma/2 would
-    come out nonzero).
+    come out nonzero).  It evaluates ``_hermite_deriv(s) * 3.0 / sigma`` in
+    place, with the same operations in the same order, so it returns the
+    same bytes as that expression; the input is never written.
     """
     sigma = p.sigma
-    a = np.abs(np.asarray(t, dtype=float))
+    # out=... keeps 0-d results as arrays, so the in-place steps below
+    # also serve scalar and 0-d input
+    a = np.abs(np.asarray(t, dtype=float), out=...)
+    s = np.subtract(a, sigma / 6.0, out=...)
+    s /= sigma / 3.0
     # the same clip as np.clip, whose Python wrapper costs more than all the
     # arithmetic on the short in-band slices PSGD and the filter pass
-    s = np.minimum(np.maximum((a - sigma / 6.0) / (sigma / 3.0), 0.0), 1.0)
-    out = np.where(a < sigma / 2.0, _hermite_deriv(s) * 3.0 / sigma, 0.0)
+    np.maximum(s, 0.0, out=s)
+    np.minimum(s, 1.0, out=s)
+    square = s * s
+    s *= 2.0
+    s /= 3.0
+    s += 1.0 / 3.0
+    s -= square
+    s *= 3.0
+    s /= sigma
+    out = np.where(a < sigma / 2.0, s, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -115,10 +136,12 @@ def surrogate_gradient(w: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
     return -(weights @ tangents) / ds.n
 
 
-def _band_limit(x: np.ndarray, radius: float, sigma: float) -> np.ndarray:
+def _band_limit(norm_x: np.ndarray, dim: int, radius: float,
+                sigma: float) -> np.ndarray:
     """Per-row limits such that the rows with |<w_ref, x>| < limit are a
     superset of the rows x with |<w, x>| < sigma/2 for every unit w within
-    distance ``radius`` of the unit vector w_ref.
+    distance ``radius`` of the unit vector w_ref; ``norm_x`` holds the
+    computed ||x|| of the length-``dim`` rows.
 
     Cauchy-Schwarz gives |<w, x>| >= |<w_ref, x>| - ||w - w_ref|| ||x||, so a
     row outside |<w_ref, x>| < sigma/2 + radius ||x|| is outside the band of
@@ -132,8 +155,7 @@ def _band_limit(x: np.ndarray, radius: float, sigma: float) -> np.ndarray:
     (2d + 7) eps ||x|| + eps sigma, which pad = 8 (d + 2) eps (||x|| + sigma)
     covers four times over.
     """
-    norm_x = np.linalg.norm(x, axis=1)
-    pad = 8.0 * (x.shape[1] + 2) * np.finfo(float).eps * (norm_x + sigma)
+    pad = 8.0 * (dim + 2) * np.finfo(float).eps * (norm_x + sigma)
     return sigma / 2.0 + radius * norm_x + pad
 
 
@@ -142,49 +164,67 @@ def _band_rows(x: np.ndarray, w_ref: np.ndarray, limit: np.ndarray) -> np.ndarra
     return np.flatnonzero(np.abs(x @ w_ref) < limit)
 
 
-class _Slab:
-    """Rows of (x, y) that can lie in the band |<w,x>| < sigma/2 of the current
-    iterate w: the ``_band_limit`` superset of radius sigma/2 around a
-    reference iterate, rebuilt around w whenever w moves farther than sigma/2
-    from it.  The limits depend only on x and sigma, so they are computed
-    once."""
+def _signed_rows(ds: Dataset, rows: np.ndarray) -> np.ndarray:
+    """The rows y x of the dataset's points at ``rows``; exact, since y = +-1."""
+    return ds.points.take(rows, axis=0) * ds.labels.take(rows)[:, None]
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, sigma: float):
-        self.x, self.y, self.sigma = x, y, sigma
-        self.limit = _band_limit(x, sigma / 2.0, sigma)
+
+class _Slab:
+    """Signed rows y x of the points that can lie in the band |<w,x>| < sigma/2
+    of the current iterate w: the ``_band_limit`` superset of radius sigma/2
+    around a reference iterate, rebuilt around w whenever w moves farther
+    than sigma/2 from it.  The limits depend only on the dataset and sigma,
+    so they are computed once."""
+
+    def __init__(self, ds: Dataset, sigma: float):
+        self.ds, self.sigma = ds, sigma
+        self.limit = _band_limit(ds.row_norms, ds.dim, sigma / 2.0, sigma)
         self.w_ref = None
 
-    def rows(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        half = self.sigma / 2.0
-        if self.w_ref is None or np.linalg.norm(w - self.w_ref) > half:
-            self.w_ref = w
-            rows = _band_rows(self.x, w, self.limit)
-            self.xr, self.yr = self.x[rows], self.y[rows]
-        return self.xr, self.yr
+    def rows(self, w: np.ndarray) -> np.ndarray:
+        if self.w_ref is not None:
+            shift = w - self.w_ref
+            if math.sqrt(shift @ shift) <= self.sigma / 2.0:
+                return self.yx
+        self.w_ref = w
+        self.yx = _signed_rows(self.ds, _band_rows(self.ds.points, w, self.limit))
+        return self.yx
 
 
-def _band_gradient(xr: np.ndarray, yr: np.ndarray, w: np.ndarray,
-                   p: RampParams) -> np.ndarray:
-    """Sum of -l'(<w,x>) y (x - <w,x> w) over the rows, as <g, w> w - g with
-    g = sum l' y x over the in-band rows (sum l' y <w,x> is <g, w>); an empty
-    band gives g = 0."""
-    proj = xr @ w
-    active = np.flatnonzero(np.abs(proj) < p.sigma / 2.0)
-    g = (smooth_ramp_derivative(proj[active], p) * yr[active]) @ xr[active]
+def _band_gradient(yx: np.ndarray, w: np.ndarray, p: RampParams) -> np.ndarray:
+    """Sum of -l'(<w,x>) y (x - <w,x> w) over the signed rows yx, as
+    <g, w> w - g with g = sum l' y x over the in-band rows (sum l' y <w,x>
+    is <g, w>); an empty band gives g = 0.
+
+    |<w, yx>| = |<w,x>| exactly, since y = +-1, and l' is even, so the
+    signed rows give the band, the weights and g with no label array."""
+    a = np.abs(yx @ w)
+    active = np.flatnonzero(a < p.sigma / 2.0)
+    g = smooth_ramp_derivative(a.take(active), p) @ yx.take(active, axis=0)
     return (g @ w) * w - g
 
 
 def gradient_norms(ws: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
     """Norms of surrogate_gradient for a stack of unit vectors (k, d).
 
-    Walks the iterates in order through one ``_Slab``, so a PSGD trajectory
-    rebuilds its rows where PSGD did, and takes each gradient with
-    ``_band_gradient``; a line mass through w gives exactly 0 (see above).
+    Checks the stack once: a non-finite entry raises NonFiniteError, a row
+    of the wrong width DimMismatchError, and a row that is not unit within
+    ``UNIT_TOL`` PreconditionError.  Then walks the iterates in order
+    through one ``_Slab``, so a PSGD trajectory rebuilds its rows where PSGD
+    did, and takes each gradient with ``_band_gradient``; a line mass
+    through w gives exactly 0 (see above).
     """
-    ws = np.atleast_2d(np.asarray(ws, dtype=float))
-    slab = _Slab(ds.points, ds.labels.astype(float), p.sigma)
-    return np.array([np.linalg.norm(_band_gradient(*slab.rows(w), w, p))
-                     for w in ws]) / ds.n
+    ws = check_finite(np.atleast_2d(ws))
+    if ws.ndim != 2 or ws.shape[1] != ds.dim:
+        raise DimMismatchError(f"ws has shape {ws.shape}, dataset dim {ds.dim}")
+    if np.any(np.abs(np.linalg.norm(ws, axis=1) - 1.0) > UNIT_TOL):
+        raise PreconditionError("every row of ws must be a unit vector")
+    slab = _Slab(ds, p.sigma)
+    norms = []
+    for w in ws:
+        g = _band_gradient(slab.rows(w), w, p)
+        norms.append(math.sqrt(g @ g))
+    return np.array(norms) / ds.n
 
 
 @dataclass(frozen=True)
@@ -235,17 +275,22 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
         w = unit(np.asarray(w0, dtype=float))
     beta = cfg.resolved_step(p.sigma)
     iterates = [w]
-    x, y = ds.points, ds.labels.astype(float)
     full_batch = cfg.batch_size is None or cfg.batch_size >= ds.n
     denom = ds.n if full_batch else cfg.batch_size
-    slab = _Slab(x, y, p.sigma) if full_batch else None
+    slab = _Slab(ds, p.sigma) if full_batch else None
     for _ in range(cfg.iterations):
         if full_batch:
-            xr, yr = slab.rows(w)
+            yx = slab.rows(w)
         else:
-            rows = gen.integers(0, ds.n, size=cfg.batch_size)
-            xr, yr = x[rows], y[rows]
-        grad = _band_gradient(xr, yr, w, p) / denom
-        w = unit(w - beta * grad)
+            yx = _signed_rows(ds, gen.integers(0, ds.n, size=cfg.batch_size))
+        step = w - beta * (_band_gradient(yx, w, p) / denom)
+        # the norm unit() takes (np.linalg.norm of a vector is sqrt(v . v)),
+        # without its per-call overhead
+        norm = math.sqrt(step @ step)
+        if not math.isfinite(norm):
+            raise NonFiniteError("PSGD step is not finite")
+        if norm == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        w = step / norm
         iterates.append(w)
     return iterates

@@ -268,6 +268,24 @@ def test_learn_insufficient_dataset(tmp_path):
     assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_learn_refuses_a_dataset_for_several_trials(tmp_path, capsys):
+    # every trial would read the same first rows of the file
+    scfg = write_config(tmp_path, "s.json", {
+        "marginal": {"kind": "standard_gaussian", "dim": 5},
+        "noise": {"kind": "clean", "target": "e1"},
+        "n": 100, "seed": 4})
+    data = str(tmp_path / "d.csv")
+    assert main(["sample", "--config", scfg, "--out", data]) == 0
+    lcfg = dict(LEARN_CFG, trials=2, dataset=data)
+    lcfg.pop("marginal")
+    lcfg.pop("noise")
+    cfg = write_config(tmp_path, "l.json", lcfg)
+    out = tmp_path / "o"
+    assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
+    assert "one trial" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 TINY_CSV = "x1,x2,y\n0.5,1.0,1\n-0.2,0.3,-1\n"
 STRIP_CFG = {"tester": "strip", "w": [1.0, 0.0], "sigma": 0.1}

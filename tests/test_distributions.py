@@ -206,3 +206,11 @@ def test_binary_roundtrip():
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([1, 2]))
+
+
+def test_dataset_row_norms_are_cached_norms_of_the_points():
+    pts = sample_marginal(MarginalSpec("student_t", 5, nu=3), 2000, seed=3)
+    ds = Dataset(pts, np.ones(2000, dtype=int))
+    norms = ds.row_norms
+    assert np.array_equal(norms, np.linalg.norm(pts, axis=1))
+    assert ds.row_norms is norms

@@ -234,6 +234,9 @@ def test_repetition_wrapper():
     out = universal_tester_learner(src, cfg, seed=68)
     assert out.accepted
     assert out.trace["accept_count"] >= 2
+    stages = [rep["stage"] for rep in out.trace["per_repetition"]]
+    assert len(stages) == 3
+    assert stages.count("accepted") == out.trace["accept_count"]
     assert out.empirical_error <= 0.15
 
 
@@ -364,25 +367,21 @@ def test_no_runnable_sigma_rejects_before_psgd(monkeypatch):
     assert out.trace["per_sigma"] == {}
 
 
-def test_repetition_majority_reject(monkeypatch):
-    runs = []
-
-    def recorded_run(*args, **kwargs):
-        runs.append(single_run(*args, **kwargs))
-        return runs[-1]
-
-    single_run = learner._single_run
-    monkeypatch.setattr(learner, "_single_run", recorded_run)
+def test_repetition_majority_reject():
     cfg = dataclasses.replace(agnostic_config(), n1=20_000, n2=20_000,
                               repetitions=3)
     out = universal_tester_learner(
         boundary_flip_source("two_point_mass", 1300, spread=10.0), cfg, seed=1300)
     assert not out.accepted and out.stage == "repetition_majority"
-    assert out.trace == {"repetitions": 3, "accept_count": 0}
-    assert len(runs) == 3
-    for run in runs:
-        assert run.stage == "stationary_test"
-        assert _sigma_keys(run) == _runnable_keys(run, 1)
+    reps = out.trace["per_repetition"]
+    assert out.trace == {"repetitions": 3, "accept_count": 0,
+                         "per_repetition": reps}
+    assert len(reps) == 3
+    for rep in reps:
+        assert set(rep) == {"stage", "trace"}
+        assert rep["stage"] == "stationary_test"
+        runnable = rep["trace"]["sigma_runnable"]
+        assert list(rep["trace"]["per_sigma"]) == [f"{runnable[0]:.10g}"]
 
 
 def test_equivariant_init_falls_back_to_e1_on_a_zero_sum():

@@ -4,7 +4,7 @@ import pytest
 from halftest.distributions import Dataset, MarginalSpec, NoiseModel, \
     empirical_error, label_dataset, sample_marginal
 from halftest import rng, surrogate
-from halftest.errors import DimMismatchError
+from halftest.errors import DimMismatchError, NonFiniteError, PreconditionError
 from halftest.numerics import unit
 from halftest.oracle import finite_difference_gradient
 from halftest.surrogate import (PsgdConfig, RampParams, gradient_norms,
@@ -112,6 +112,37 @@ def test_ramp_derivative_matches_piecewise_bit_for_bit(sigma):
     want = _ramp_derivative_reference(ts, sigma)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert smooth_ramp_derivative(sigma / 6.0, RampParams(sigma)) == 1.0 / sigma
+
+
+def _closed_form_ramp_derivative(t, sigma):
+    """l' as one out-of-place expression: the masked, clipped Hermite slope
+    ``_hermite_deriv(s) * 3 / sigma``."""
+    a = np.abs(np.asarray(t, dtype=float))
+    s = np.clip((a - sigma / 6.0) / (sigma / 3.0), 0.0, 1.0)
+    return np.where(a < sigma / 2.0,
+                    surrogate._hermite_deriv(s) * 3.0 / sigma, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0022, 0.1, 1.0 / 3.0, 0.497221, 3.7])
+def test_ramp_derivative_in_place_matches_closed_form(sigma):
+    # the in-place evaluation must give the closed form's bytes on scalars,
+    # 0-d and 1-d input, and leave a 1-d input as it was
+    p = RampParams(sigma)
+    inside = np.nextafter(sigma / 2.0, 0.0)
+    points = [sigma / 6.0, -sigma / 6.0, sigma / 2.0, -sigma / 2.0,
+              inside, -inside]
+    want = _closed_form_ramp_derivative(np.array(points), sigma)
+    assert want[4] > 0.0 and want[2] == 0.0
+    for t, expect in zip(points, want):
+        for arg in (t, np.float64(t), np.array(t)):
+            got = smooth_ramp_derivative(arg, p)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == expect.tobytes()
+    ts = np.array(points)
+    before = ts.copy()
+    got = smooth_ramp_derivative(ts, p)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert ts.tobytes() == before.tobytes()
 
 
 def _dataset(points, labels):
@@ -239,7 +270,8 @@ def test_band_rows_is_superset():
     x = rng.standard_normal((3000, 5)) * rng.exponential(1.0, (3000, 1))
     for sigma, radius in ((0.05, 0.01), (0.2, 0.1), (0.02, 0.5)):
         w_ref = unit(rng.standard_normal(5))
-        rows = surrogate._band_rows(x, w_ref, surrogate._band_limit(x, radius, sigma))
+        limit = surrogate._band_limit(np.linalg.norm(x, axis=1), 5, radius, sigma)
+        rows = surrogate._band_rows(x, w_ref, limit)
         assert rows.size < x.shape[0]
         assert np.all(np.diff(rows) > 0)
         for _ in range(50):
@@ -338,6 +370,29 @@ def test_gradient_norms_rebuilds_where_psgd_did(monkeypatch):
     assert len(builds) == psgd_builds
 
 
+def test_minibatch_psgd_matches_dense_on_the_same_draws():
+    # every step, recomputed from the unsigned rows and labels of the batch
+    # PSGD drew, must give PSGD's iterate bit for bit
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 5), 5000, seed=37)
+    ds = label_dataset(pts, NoiseModel("massart", (1.0, 0, 0, 0, 0), eta=0.2),
+                       seed=37)
+    p = RampParams(0.1)
+    w = unit(np.array([0.2, 1.0, -0.5, 0.3, 0.1]))
+    iterates = psgd(ds, p, PsgdConfig(iterations=60, step_size=0.1,
+                                      batch_size=256, seed=9), w0=w)
+    gen = rng.stream(9, rng.STREAM_PSGD)
+    x, y = ds.points, ds.labels.astype(float)
+    w = iterates[0]
+    for nxt in iterates[1:]:
+        idx = gen.integers(0, ds.n, size=256)
+        xb, yb = x[idx], y[idx]
+        proj = xb @ w
+        active = np.flatnonzero(np.abs(proj) < p.sigma / 2.0)
+        g = (smooth_ramp_derivative(np.abs(proj[active]), p) * yb[active]) @ xb[active]
+        w = unit(w - 0.1 * (((g @ w) * w - g) / 256))
+        assert np.array_equal(nxt, w)
+
+
 def test_minibatch_psgd_step_is_the_batch_surrogate_gradient():
     # mini-batch steps share the full-batch formula; each must be one
     # projected step along surrogate_gradient of the rows it drew
@@ -353,6 +408,28 @@ def test_minibatch_psgd_step_is_the_batch_surrogate_gradient():
         grad = surrogate_gradient(w, Dataset(ds.points[idx], ds.labels[idx]), p)
         np.testing.assert_allclose(nxt, unit(w - 0.05 * grad), rtol=0, atol=1e-14)
         w = nxt
+
+
+def _small_gaussian_dataset():
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 200, seed=38)
+    return label_dataset(pts, NoiseModel("massart", (1.0, 0, 0), eta=0.2), seed=38)
+
+
+def test_gradient_norms_rejects_a_non_finite_row():
+    ws = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(NonFiniteError):
+        gradient_norms(ws, _small_gaussian_dataset(), RampParams(0.1))
+
+
+def test_gradient_norms_rejects_a_row_of_the_wrong_width():
+    with pytest.raises(DimMismatchError):
+        gradient_norms(np.eye(4)[:2], _small_gaussian_dataset(), RampParams(0.1))
+
+
+def test_gradient_norms_rejects_a_row_that_is_not_unit():
+    ws = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    with pytest.raises(PreconditionError):
+        gradient_norms(ws, _small_gaussian_dataset(), RampParams(0.1))
 
 
 def test_dim_mismatch():
@@ -376,6 +453,15 @@ def test_psgd_config_rejects_non_finite_step_size(step_size):
 def test_psgd_config_accepts_batch_sizes():
     for batch_size in (None, 1, 64, np.int64(8)):
         assert PsgdConfig(iterations=10, batch_size=batch_size).batch_size == batch_size
+
+
+def test_psgd_raises_on_a_step_whose_norm_is_not_finite():
+    # each entry of the step is finite, but its squared norm overflows
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 500, seed=39)
+    ds = label_dataset(pts, NoiseModel("massart", (1.0, 0, 0), eta=0.2), seed=39)
+    cfg = PsgdConfig(iterations=1, step_size=1e308, batch_size=None)
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+        psgd(ds, RampParams(0.5), cfg, w0=np.array([0.6, 0.8, 0.0]))
 
 
 def test_psgd_zero_iterations():
