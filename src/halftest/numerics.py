@@ -8,6 +8,8 @@ are arrays with ``abs(norm - 1) <= UNIT_TOL``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonFiniteError
@@ -35,9 +37,16 @@ def is_unit(w: np.ndarray, tol: float = UNIT_TOL) -> bool:
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """v scaled to the unit sphere."""
-    v = check_finite(v)
-    norm = np.linalg.norm(v)
+    """The vector v scaled to the unit sphere.
+
+    Its norm is sqrt(v . v), which is what np.linalg.norm computes for a
+    vector, without that call's overhead.  A NaN or infinite entry, or a
+    norm that overflows, raises NonFiniteError.
+    """
+    v = np.asarray(v, dtype=float)
+    norm = math.sqrt(v @ v)
+    if not math.isfinite(norm):
+        raise NonFiniteError("vector contains NaN or Inf, or its norm overflows")
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / norm

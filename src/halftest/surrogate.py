@@ -41,7 +41,7 @@ import numpy as np
 
 from . import rng
 from .distributions import Dataset
-from .errors import DimMismatchError, NonFiniteError, PreconditionError
+from .errors import DimMismatchError, PreconditionError
 from .numerics import UNIT_TOL, check_finite, unit
 
 # Derived ramp constant, used by the structural-inequality oracle.
@@ -88,28 +88,14 @@ def smooth_ramp_derivative(t, p: RampParams):
     One masked Hermite expression covers every piece: |t| <= sigma/6 clips
     to s = 0, where fl(1/3) * 3 / sigma is exactly 1 / sigma, and the mask
     zeroes the tails (without it, inputs within an ulp of sigma/2 would
-    come out nonzero).  It evaluates ``_hermite_deriv(s) * 3.0 / sigma`` in
-    place, with the same operations in the same order, so it returns the
-    same bytes as that expression; the input is never written.
+    come out nonzero).
     """
     sigma = p.sigma
-    # out=... keeps 0-d results as arrays, so the in-place steps below
-    # also serve scalar and 0-d input
-    a = np.abs(np.asarray(t, dtype=float), out=...)
-    s = np.subtract(a, sigma / 6.0, out=...)
-    s /= sigma / 3.0
+    a = np.abs(np.asarray(t, dtype=float))
     # the same clip as np.clip, whose Python wrapper costs more than all the
     # arithmetic on the short in-band slices PSGD and the filter pass
-    np.maximum(s, 0.0, out=s)
-    np.minimum(s, 1.0, out=s)
-    square = s * s
-    s *= 2.0
-    s /= 3.0
-    s += 1.0 / 3.0
-    s -= square
-    s *= 3.0
-    s /= sigma
-    out = np.where(a < sigma / 2.0, s, 0.0)
+    s = np.minimum(np.maximum((a - sigma / 6.0) / (sigma / 3.0), 0.0), 1.0)
+    out = np.where(a < sigma / 2.0, _hermite_deriv(s) * 3.0 / sigma, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -283,14 +269,6 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
             yx = slab.rows(w)
         else:
             yx = _signed_rows(ds, gen.integers(0, ds.n, size=cfg.batch_size))
-        step = w - beta * (_band_gradient(yx, w, p) / denom)
-        # the norm unit() takes (np.linalg.norm of a vector is sqrt(v . v)),
-        # without its per-call overhead
-        norm = math.sqrt(step @ step)
-        if not math.isfinite(norm):
-            raise NonFiniteError("PSGD step is not finite")
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        w = step / norm
+        w = unit(w - beta * (_band_gradient(yx, w, p) / denom))
         iterates.append(w)
     return iterates

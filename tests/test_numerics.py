@@ -7,6 +7,25 @@ from halftest.numerics import (householder_basis, min_eigenvalue,
                                operator_norm, project_orthogonal, unit)
 
 
+def test_unit_matches_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 5, 17):
+        v = rng.standard_normal(d) * rng.exponential(10.0)
+        assert unit(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+def test_unit_rejects_non_finite_and_zero_vectors():
+    with pytest.raises(NonFiniteError):
+        unit(np.array([1.0, np.nan]))
+    with pytest.raises(NonFiniteError):
+        unit(np.array([np.inf, 0.0]))
+    # finite entries whose squared norm overflows
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+        unit(np.array([1e200, 1e200]))
+    with pytest.raises(ValueError):
+        unit(np.zeros(3))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_extreme_eigenvalues_match_eigvalsh(seed):
     rng = np.random.default_rng(seed)

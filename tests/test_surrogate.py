@@ -124,8 +124,8 @@ def _closed_form_ramp_derivative(t, sigma):
 
 
 @pytest.mark.parametrize("sigma", [0.0022, 0.1, 1.0 / 3.0, 0.497221, 3.7])
-def test_ramp_derivative_in_place_matches_closed_form(sigma):
-    # the in-place evaluation must give the closed form's bytes on scalars,
+def test_ramp_derivative_matches_closed_form(sigma):
+    # smooth_ramp_derivative must give the closed form's bytes on scalars,
     # 0-d and 1-d input, and leave a 1-d input as it was
     p = RampParams(sigma)
     inside = np.nextafter(sigma / 2.0, 0.0)
