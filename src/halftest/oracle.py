@@ -1,7 +1,9 @@
 """Independent brute-force verifiers.
 
 These deliberately avoid the code paths they check: the fourth-moment
-maximizer uses sphere grids plus tensor power iteration, gradients come
+maximizer scores every candidate direction on its own dense moment tensor
+(a sphere grid at d <= 4, then tensor power ascent from all starts in one
+array), so its memory does not depend on the sample size; gradients come
 from central finite differences in a tangent basis, ERM is an exhaustive
 sweep at d <= 2 (pair normals at d = 3, random search above), and the
 surrogate-loss structural inequality is evaluated from first principles
@@ -19,7 +21,6 @@ conditional label expectation).
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Optional
 
@@ -35,6 +36,10 @@ from .surrogate import (RAMP_DERIV_BOUND, RampParams, smooth_ramp_derivative,
 GRID_RESOLUTION = 0.01
 COARSE_RESOLUTION_D4 = 0.15
 POWER_RESTARTS = 64
+GRID_STARTS = 32
+POWER_STEPS = 200
+PAIR_BUDGET = 100_000
+ERM_CHUNK = 2048
 
 
 def fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
@@ -44,96 +49,87 @@ def fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
     return (q.T @ q / n).reshape((d,) * 4)
 
 
-def _power_iterate(dense: np.ndarray, v: np.ndarray,
-                   iters: int = 200) -> tuple[float, np.ndarray]:
-    """Symmetric tensor power iteration; monotone for these convex quartics."""
-    v = unit(v)
-    contracted = np.tensordot(np.tensordot(dense, v, axes=1), v, axes=1)  # (d, d)
-    val = float(v @ contracted @ v)
-    for _ in range(iters):
-        g = contracted @ v
-        norm = np.linalg.norm(g)
-        if norm < 1e-300:
-            break
-        v_new = g / norm
-        contracted = np.tensordot(np.tensordot(dense, v_new, axes=1), v_new, axes=1)
-        val_new = float(v_new @ contracted @ v_new)
-        converged = val_new <= val + 1e-15
-        v, val = v_new, val_new
-        if converged:
-            break
-    return val, v
+def _contract(flat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T(v, v, v, .) for each row of the (k, d) array v, where flat is the
+    dense tensor T reshaped to (d * d, d * d)."""
+    k, d = v.shape
+    vv = (v[:, :, None] * v[:, None, :]).reshape(k, d * d)
+    return np.einsum("kij,kj->ki", (vv @ flat).reshape(k, d, d), v)
 
 
-def _sphere_grid(dim: int, resolution: float) -> np.ndarray:
+def _sphere_grid(dim: int) -> np.ndarray:
     """Angular grid over half the sphere (the quartic is even)."""
+    res = GRID_RESOLUTION
     if dim == 1:
         return np.array([[1.0]])
     if dim == 2:
-        angles = np.arange(0.0, math.pi, resolution)
+        angles = np.arange(0.0, math.pi, res)
         return np.stack([np.cos(angles), np.sin(angles)], axis=1)
     if dim == 3:
-        thetas = np.arange(0.0, math.pi + resolution, resolution)
+        thetas = np.arange(0.0, math.pi + res, res)
         points = []
         for th in thetas:
-            ring = max(1, int(math.ceil(2.0 * math.pi * math.sin(th) / resolution)))
+            ring = max(1, int(math.ceil(2.0 * math.pi * math.sin(th) / res)))
             phis = np.arange(ring) * 2.0 * math.pi / ring
             points.append(np.stack([np.sin(th) * np.cos(phis),
                                     np.sin(th) * np.sin(phis),
                                     np.full(ring, math.cos(th))], axis=1))
         return np.concatenate(points)
     if dim == 4:
-        res = max(resolution, COARSE_RESOLUTION_D4)
-        axes = [np.arange(0.0, math.pi + res, res)] * 2 + [
-            np.arange(0.0, 2.0 * math.pi, res)]
-        pts = []
-        for t1, t2, t3 in itertools.product(*axes):
-            pts.append([math.cos(t1),
-                        math.sin(t1) * math.cos(t2),
-                        math.sin(t1) * math.sin(t2) * math.cos(t3),
-                        math.sin(t1) * math.sin(t2) * math.sin(t3)])
-        return np.asarray(pts)
+        step = COARSE_RESOLUTION_D4
+        half = np.arange(0.0, math.pi + step, step)
+        t1, t2, t3 = (a.ravel() for a in np.meshgrid(
+            half, half, np.arange(0.0, 2.0 * math.pi, step), indexing="ij"))
+        return np.stack([np.cos(t1),
+                         np.sin(t1) * np.cos(t2),
+                         np.sin(t1) * np.sin(t2) * np.cos(t3),
+                         np.sin(t1) * np.sin(t2) * np.sin(t3)], axis=1)
     raise DimTooLargeError("grid mode supports d <= 4")
 
 
 def brute_force_max_fourth_moment(points: np.ndarray, mode: str = "auto",
-                                  resolution: float = GRID_RESOLUTION,
                                   seed: int = 0) -> tuple[float, np.ndarray]:
     """Maximize E_S[<v, x>^4] over the unit sphere.
 
-    Grid mode (d <= 4): sphere grid at the angular resolution, then power
-    iteration refinement from the best grid points and random restarts.
-    Ascent mode (any d): multi-start power iteration only — a certified
-    lower bound rather than the global maximum.
+    Every direction is scored on the dense tensor T = E_S[x x x x] as
+    <T(v, v, v, .), v>, so memory does not grow with the sample size.  The
+    starts are the GRID_STARTS best points of a sphere grid (grid mode,
+    d <= 4), POWER_RESTARTS random directions and the coordinate axes.  All
+    of them take POWER_STEPS tensor power steps v <- T(v, v, v, .) / norm
+    together; a start whose step vanishes stays put.  The quartic is
+    convex, so no step lowers it (Kofidis and Regalia, SIAM J. Matrix Anal.
+    Appl. 23, 2002) and the result is at least the best grid score.
+    Ascent mode (any d) skips the grid: a lower bound on the maximum rather
+    than the global maximum.
     """
     points = check_finite(points)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty (n, d) array")
     d = points.shape[1]
-    dense = fourth_moment_tensor(points)
+    flat = check_finite(fourth_moment_tensor(points)).reshape(d * d, d * d)
     if mode not in ("auto", "grid", "ascent"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "grid" and d > 4:
         raise DimTooLargeError("grid mode supports d <= 4")
-    use_grid = d <= 4 and mode != "ascent"
 
-    best_val, best_v = -math.inf, None
     starts = []
-    if use_grid:
-        grid = _sphere_grid(d, resolution)
-        proj = points @ grid.T
-        means = np.mean(np.square(np.square(proj, out=proj), out=proj), axis=0)
-        order = np.argsort(means)[::-1]
-        best_val, best_v = float(means[order[0]]), grid[order[0]]
-        starts.extend(grid[order[:32]])
+    if d <= 4 and mode != "ascent":
+        grid = _sphere_grid(d)
+        scores = np.einsum("ki,ki->k", _contract(flat, grid), grid)
+        starts.append(grid[np.argsort(scores)[::-1][:GRID_STARTS]])
     gen = rng.stream(seed, rng.STREAM_ORACLE)
-    starts.extend(rng.unit_sphere(gen, d) for _ in range(POWER_RESTARTS))
-    starts.extend(np.eye(d))
-    for v0 in starts:
-        val, v = _power_iterate(dense, np.asarray(v0, dtype=float))
-        if val > best_val:
-            best_val, best_v = val, v
-    return float(best_val), best_v
+    starts.append([rng.unit_sphere(gen, d) for _ in range(POWER_RESTARTS)])
+    starts.append(np.eye(d))
+    v = np.concatenate(starts)
+    v /= np.sqrt(np.einsum("ki,ki->k", v, v))[:, None]
+    for _ in range(POWER_STEPS):
+        g = _contract(flat, v)
+        norms = np.sqrt(np.einsum("ki,ki->k", g, g))
+        moving = norms >= 1e-300
+        v[moving] = g[moving] / norms[moving, None]
+    values = np.einsum("ki,ki->k", _contract(flat, v), v)
+    best = int(np.argmax(values))
+    return float(values[best]), v[best]
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float],
@@ -152,23 +148,22 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float],
 
 
 def _halfspace_errors(points: np.ndarray, labels: np.ndarray,
-                      candidates: np.ndarray, chunk: int = 2048) -> np.ndarray:
+                      candidates: np.ndarray) -> np.ndarray:
     out = np.empty(candidates.shape[0])
-    for start in range(0, candidates.shape[0], chunk):
-        block = candidates[start:start + chunk]
+    for start in range(0, candidates.shape[0], ERM_CHUNK):
+        block = candidates[start:start + ERM_CHUNK]
         preds = np.where(points @ block.T >= 0, 1, -1)
-        out[start:start + chunk] = np.mean(preds != labels[:, None], axis=0)
+        out[start:start + ERM_CHUNK] = np.mean(preds != labels[:, None], axis=0)
     return out
 
 
 def erm_halfspace(ds: Dataset, mode: str = "auto", seed: int = 0,
-                  search_budget: int = 20000,
-                  pair_budget: int = 100_000) -> tuple[np.ndarray, float]:
+                  search_budget: int = 20000) -> tuple[np.ndarray, float]:
     """Minimum empirical 0-1 error over origin-centered halfspaces.
 
     d = 1: both orientations.  d = 2: exact sweep over the point-induced
     boundary angles and their midpoints.  d = 3: candidate normals from
-    point pairs, all of them when there are at most ``pair_budget`` and a
+    point pairs, all of them when there are at most PAIR_BUDGET and a
     seeded subsample otherwise (near-exact).  d <= 8 with mode='search':
     random search plus shrinking local perturbation — an upper bound on
     opt_S.
@@ -199,9 +194,9 @@ def erm_halfspace(ds: Dataset, mode: str = "auto", seed: int = 0,
                 np.stack([np.cos(mids), np.sin(mids)], axis=1)])
         else:
             idx_i, idx_j = np.triu_indices(ds.n, k=1)
-            if idx_i.size > pair_budget:
+            if idx_i.size > PAIR_BUDGET:
                 gen = rng.stream(seed, rng.STREAM_ORACLE + 9)
-                keep = gen.choice(idx_i.size, size=pair_budget, replace=False)
+                keep = gen.choice(idx_i.size, size=PAIR_BUDGET, replace=False)
                 idx_i, idx_j = idx_i[keep], idx_j[keep]
             normals = np.cross(x[idx_i], x[idx_j])
             norms = np.linalg.norm(normals, axis=1)

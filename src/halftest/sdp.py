@@ -290,15 +290,3 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         except (np.linalg.LinAlgError, NonFiniteError):
             break
     return finish(MAX_ITERATIONS, gap)
-
-
-def check_solution(problem: SdpProblem, sol: SdpSolution,
-                   tol_psd: float = TOL_PSD, tol_feas: float = TOL_FEAS) -> bool:
-    """Verify the Optimal invariants: psd within tol, feasible, gap bound."""
-    if not sol.optimal:
-        return False
-    lam_min = np.linalg.eigvalsh(sol.X)[0]
-    if lam_min < -tol_psd * (1.0 + abs(np.trace(sol.X))):
-        return False
-    residual = np.tensordot(problem.constraints, sol.X) - problem.b
-    return bool(np.all(np.abs(residual) <= tol_feas * (1.0 + np.abs(problem.b))))

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NonFiniteError, PreconditionError
 from .numerics import (check_finite, is_unit, min_eigenvalue, operator_norm,
                        project_orthogonal)
 from .sdp import CERTIFIED, OPTIMAL
@@ -165,7 +165,7 @@ def hypercontractivity_test(points, gamma: float,
     try:
         value, sol = solve_relaxation(moments, tol=min(1e-8, gamma**4),
                                       threshold=threshold)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, NonFiniteError) as exc:
         diag["stop_reason"] = type(exc).__name__
         return TesterVerdict(accepted=False, diagnostics=diag)
     diag.update(stop_reason=sol.status, iterations=sol.iterations)
@@ -318,16 +318,3 @@ def stationary_point_test(data, w: np.ndarray, sigma: float,
     diag["gradient_threshold"] = scale / (k * cfg.gamma**4)
     diag["angle_bound"] = k * (1.0 + cfg.gamma**4) * sigma / scale
     return TesterVerdict(accepted=True, diagnostics=diag)
-
-
-def paley_zygmund_holds(samples: np.ndarray) -> bool:
-    """Exact Paley-Zygmund check on an empirical nonnegative sample:
-    Pr[Z > E[Z]/2] >= E[Z]^2 / (4 E[Z^2])."""
-    z = check_finite(np.asarray(samples, dtype=float))
-    if np.any(z < 0):
-        raise ValueError("Paley-Zygmund needs a nonnegative sample")
-    mean = float(np.mean(z))
-    second = float(np.mean(z**2))
-    lhs = float(np.mean(z > mean / 2.0))
-    rhs = 0.0 if second == 0.0 else mean**2 / (4.0 * second)
-    return lhs >= rhs

@@ -25,8 +25,9 @@ from halftest.surrogate import (PsgdConfig, RampParams, smooth_ramp,
                                 smooth_ramp_derivative, surrogate_gradient,
                                 surrogate_loss)
 from halftest.testers import (TesterConfig, hypercontractivity_test,
-                              local_disagreement_test, paley_zygmund_holds,
-                              spectral_test, weak_anticoncentration_test)
+                              local_disagreement_test, spectral_test,
+                              weak_anticoncentration_test)
+from test_testers import paley_zygmund_holds
 
 W_STAR5 = (1.0, 0.0, 0.0, 0.0, 0.0)
 BOUNDARY_5PCT = 0.06270677794321385  # Pr[|N(0,1)| <= w] = 0.05

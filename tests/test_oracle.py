@@ -5,7 +5,7 @@ import pytest
 
 from halftest.distributions import Dataset, MarginalSpec, NoiseModel, \
     label_dataset, sample_marginal
-from halftest.errors import DegenerateAngleError, DimTooLargeError
+from halftest.errors import DegenerateAngleError, DimTooLargeError, NonFiniteError
 from halftest.numerics import unit
 from halftest.oracle import (brute_force_max_fourth_moment, erm_halfspace,
                              finite_difference_gradient, gaussian_strip_stats,
@@ -49,6 +49,21 @@ def test_brute_force_ascent_matches_grid_small():
     ascent_val, _ = brute_force_max_fourth_moment(pts, mode="ascent")
     assert ascent_val <= grid_val + 1e-9
     assert ascent_val >= grid_val - 1e-6
+
+
+def test_brute_force_grid_memory_does_not_grow_with_n():
+    # scoring the grid on the points would take an (n, 125827) array here
+    pts = sample_marginal(MarginalSpec("product_laplace", 3), 100_000, seed=52)
+    grid_val, _ = brute_force_max_fourth_moment(pts, mode="grid")
+    ascent_val, _ = brute_force_max_fourth_moment(pts, mode="ascent")
+    assert abs(grid_val - ascent_val) <= 1e-9 * grid_val
+
+
+def test_brute_force_overflowing_tensor_raises():
+    pts = np.array([[1e80, 0.0], [0.0, -1e80]])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteError):
+        brute_force_max_fourth_moment(pts)
 
 
 def test_fd_gradient_constant_field():

@@ -4,10 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from halftest.sdp import (INFEASIBLE, MAX_ITERATIONS, OPTIMAL, SdpProblem, _max_step,
-                          _nt_scaling, check_solution, solve_sdp)
+from halftest.sdp import (INFEASIBLE, MAX_ITERATIONS, OPTIMAL, TOL_FEAS, TOL_PSD,
+                          SdpProblem, _max_step, _nt_scaling, solve_sdp)
 from halftest.sos_hyper import (build_degree4_relaxation,
                                 empirical_fourth_moment_tensor)
+
+
+def check_solution(problem, sol):
+    """Verify the Optimal invariants: psd within tol, feasible, gap bound."""
+    if not sol.optimal:
+        return False
+    lam_min = np.linalg.eigvalsh(sol.X)[0]
+    if lam_min < -TOL_PSD * (1.0 + abs(np.trace(sol.X))):
+        return False
+    residual = np.tensordot(problem.constraints, sol.X) - problem.b
+    return bool(np.all(np.abs(residual) <= TOL_FEAS * (1.0 + np.abs(problem.b))))
 
 
 def _random_sym(rng, n):
