@@ -300,9 +300,8 @@ def _learn_trial(payload) -> dict:
         source = SyntheticSource(parts["marginal"], parts["noise"], seed)
     outcome = universal_tester_learner(source, parts["learner"], seed=seed)
     record = json.loads(outcome.to_json())
-    wall = record.pop("wall_time")
     record["seed"] = seed
-    return {"record": record, "wall_time": wall}
+    return {"record": record, "wall_time": outcome.wall_time}
 
 
 def cmd_learn(args) -> int:

@@ -136,7 +136,6 @@ class LearnerOutcome:
             "w": None if self.w is None else [float(v) for v in self.w],
             "empirical_error": self.empirical_error,
             "sigma_used": self.sigma_used,
-            "wall_time": self.wall_time,
             "trace": self.trace,
         }
         return json.dumps(payload, sort_keys=True)

@@ -39,7 +39,7 @@ POWER_RESTARTS = 64
 GRID_STARTS = 32
 POWER_STEPS = 200
 PAIR_BUDGET = 100_000
-ERM_CHUNK = 2048
+ERM_BLOCK = 1 << 22  # candidate scores per block: 32 MB of float64
 
 
 def fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
@@ -149,11 +149,15 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float],
 
 def _halfspace_errors(points: np.ndarray, labels: np.ndarray,
                       candidates: np.ndarray) -> np.ndarray:
+    """0-1 error of every candidate, scored in (n, k) blocks of about
+    ERM_BLOCK entries whatever the sample size."""
+    n = points.shape[0]
+    positive = labels[:, None] > 0
+    step = max(1, ERM_BLOCK // n)
     out = np.empty(candidates.shape[0])
-    for start in range(0, candidates.shape[0], ERM_CHUNK):
-        block = candidates[start:start + ERM_CHUNK]
-        preds = np.where(points @ block.T >= 0, 1, -1)
-        out[start:start + ERM_CHUNK] = np.mean(preds != labels[:, None], axis=0)
+    for start in range(0, candidates.shape[0], step):
+        wrong = (points @ candidates[start:start + step].T >= 0) != positive
+        out[start:start + step] = np.count_nonzero(wrong, axis=0) / n
     return out
 
 
@@ -163,8 +167,9 @@ def erm_halfspace(ds: Dataset, mode: str = "auto", seed: int = 0,
 
     d = 1: both orientations.  d = 2: exact sweep over the point-induced
     boundary angles and their midpoints.  d = 3: candidate normals from
-    point pairs, all of them when there are at most PAIR_BUDGET and a
-    seeded subsample otherwise (near-exact).  d <= 8 with mode='search':
+    point pairs, all of them when there are at most PAIR_BUDGET and
+    otherwise PAIR_BUDGET pairs of distinct points drawn from a seeded
+    stream (near-exact).  d <= 8 with mode='search':
     random search plus shrinking local perturbation — an upper bound on
     opt_S.
     """
@@ -193,11 +198,14 @@ def erm_halfspace(ds: Dataset, mode: str = "auto", seed: int = 0,
                 rot, -rot,
                 np.stack([np.cos(mids), np.sin(mids)], axis=1)])
         else:
-            idx_i, idx_j = np.triu_indices(ds.n, k=1)
-            if idx_i.size > PAIR_BUDGET:
+            if ds.n * (ds.n - 1) // 2 <= PAIR_BUDGET:
+                idx_i, idx_j = np.triu_indices(ds.n, k=1)
+            else:
+                # uniform over pairs i != j, without listing all of them
                 gen = rng.stream(seed, rng.STREAM_ORACLE + 9)
-                keep = gen.choice(idx_i.size, size=PAIR_BUDGET, replace=False)
-                idx_i, idx_j = idx_i[keep], idx_j[keep]
+                idx_i = gen.integers(0, ds.n, PAIR_BUDGET)
+                idx_j = gen.integers(0, ds.n - 1, PAIR_BUDGET)
+                idx_j += idx_j >= idx_i
             normals = np.cross(x[idx_i], x[idx_j])
             norms = np.linalg.norm(normals, axis=1)
             good = norms > 1e-12

@@ -29,6 +29,11 @@ X, <C, X> = b^T y - <S, X> <= b^T y + max(0, -lambda_min(S)) tau.
 rounding margin (see ``_dual_bound``), keeps the smallest, and given a
 ``threshold`` stops with status ``certified`` as soon as it is at most the
 threshold.
+
+Every status names what the solve proved: ``certified`` a bound at most the
+threshold, ``optimal`` a gap and residuals within tolerance,
+``max_iterations`` neither.  Infeasibility and unboundedness are not
+detected; such a problem ends ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .numerics import check_finite, symmetrize
 
 OPTIMAL = "optimal"
 CERTIFIED = "certified"
-INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max_iterations"
 
 DEFAULT_TOL = 1e-8
@@ -56,14 +60,13 @@ DEFAULT_MAX_ITER = 500
 class SdpProblem:
     """maximize <objective, X> subject to <constraints[i], X> = b[i], X psd.
 
-    ``constraints`` is one (m, n, n) stack; a stack that is not exactly
-    symmetric is replaced by its symmetrized copy on construction.  Its
-    rows must be linearly independent, which keeps the Schur matrix
+    ``constraints`` is one nonempty (m, n, n) stack; a stack that is not
+    exactly symmetric is replaced by its symmetrized copy on construction.
+    Its rows must be linearly independent, which keeps the Schur matrix
     positive definite; ``solve_sdp`` does not check this.  On dependent
     rows a consistent b usually still solves to ``optimal``, and a b
     outside their range (beyond the feasibility tolerance) is never
-    reported ``optimal`` but typically ends ``max_iterations`` after the
-    whole iteration budget rather than ``infeasible`` at once.
+    reported ``optimal`` but ends ``max_iterations``.
     ``trace_bound`` states that tr X <= trace_bound on the feasible set; it
     is a fact about the problem that makes ``solve_sdp`` certify an upper
     bound on the optimum at every iterate, not a solver option.
@@ -80,10 +83,8 @@ class SdpProblem:
         if self.objective.shape != (self.n, self.n):
             raise ValueError("objective must be n x n")
         a = check_finite(np.asarray(self.constraints, dtype=float))
-        if a.size == 0:
-            a = a.reshape(0, self.n, self.n)
-        if a.ndim != 3 or a.shape[1:] != (self.n, self.n):
-            raise ValueError("constraints must be an (m, n, n) array")
+        if a.ndim != 3 or len(a) == 0 or a.shape[1:] != (self.n, self.n):
+            raise ValueError("constraints must be a nonempty (m, n, n) array")
         if not np.array_equal(a, a.transpose(0, 2, 1)):
             a = (a + a.transpose(0, 2, 1)) / 2.0
         self.constraints = a
@@ -176,8 +177,10 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
               max_iterations: int = DEFAULT_MAX_ITER,
               threshold: float | None = None) -> SdpSolution:
     """Interior-point solve; ``optimal`` certifies gap <= tol and feasibility
-    within TOL_FEAS / TOL_PSD.  A step that breaks down numerically ends the
-    solve with the iterate it started from and status MAX_ITERATIONS.
+    within TOL_FEAS / TOL_PSD.  Otherwise the solve ends with status
+    MAX_ITERATIONS: after ``max_iterations`` iterates, or at a step that
+    breaks down numerically, with the iterate that step started from.  An
+    infeasible or unbounded problem ends this way too.
 
     When the problem has a finite ``trace_bound`` every iterate's
     ``_dual_bound`` is taken and the smallest is kept on the solution.
@@ -192,16 +195,6 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     n = problem.n
     a, b, c = problem.constraints, problem.b, problem.objective
     m = len(a)
-
-    if m == 0:
-        # unconstrained: bounded iff C is nsd; optimum X = 0
-        lam_max = np.linalg.eigvalsh(c)[-1] if n else 0.0
-        if lam_max > tol:
-            return SdpSolution(X=np.zeros((n, n)), value=math.inf,
-                               dual_value=math.inf, status=INFEASIBLE)
-        return SdpSolution(X=np.zeros((n, n)), value=0.0, dual_value=0.0,
-                           status=OPTIMAL, gap=0.0)
-
     a_flat = a.reshape(m, n * n)                    # A(X) = a_flat @ X.ravel()
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
@@ -245,11 +238,6 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         feas_d = np.linalg.norm(r_d) / norm_c
         if rel_gap <= tol and feas_p <= TOL_FEAS and feas_d <= TOL_FEAS:
             return finish(OPTIMAL, max(gap, 0.0))
-        if (np.linalg.norm(y) > 1e12 * norm_b or not np.isfinite(mu)
-                or mu > 1e14 or abs(pobj) > 1e13 * norm_c):
-            # diverging dual (primal infeasible) or diverging primal value
-            # (dual infeasible / primal unbounded)
-            return finish(INFEASIBLE, gap)
         if it == max_iterations:
             break
         try:

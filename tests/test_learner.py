@@ -248,6 +248,8 @@ def test_outcome_json_schema():
     payload = json.loads(out.to_json())
     assert payload["status"] == "rejected"
     assert "trace" in payload and "stage" in payload
+    # timings stay out of the deterministic report
+    assert "wall_time" not in payload
 
 
 @pytest.mark.parametrize("kind, kwargs, rejected_by", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halftest.distributions import Dataset, MarginalSpec, NoiseModel, \
-    label_dataset, sample_marginal
+    empirical_error, label_dataset, sample_marginal
 from halftest.errors import DegenerateAngleError, DimTooLargeError, NonFiniteError
 from halftest.numerics import unit
 from halftest.oracle import (brute_force_max_fourth_moment, erm_halfspace,
@@ -116,6 +116,16 @@ def test_erm_d3_pairs():
     ds = label_dataset(pts, NoiseModel("clean", tuple(w_star)), seed=53)
     _, opt = erm_halfspace(ds)
     assert opt == 0.0
+
+
+def test_erm_d3_drawn_pairs():
+    # 12.5M pairs exceed PAIR_BUDGET: candidates come from drawn pairs
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 5000, seed=54)
+    w_star = unit(np.array([1.0, -1.0, 0.5]))
+    ds = label_dataset(pts, NoiseModel("clean", tuple(w_star)), seed=54)
+    w, opt = erm_halfspace(ds)
+    assert opt == empirical_error(w, ds)
+    assert opt <= 0.01
 
 
 def test_erm_dim_caps():

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from halftest.sdp import (INFEASIBLE, MAX_ITERATIONS, OPTIMAL, TOL_FEAS, TOL_PSD,
-                          SdpProblem, _max_step, _nt_scaling, solve_sdp)
+from halftest.sdp import (MAX_ITERATIONS, OPTIMAL, TOL_FEAS, TOL_PSD, SdpProblem,
+                          _max_step, _nt_scaling, solve_sdp)
 from halftest.sos_hyper import (build_degree4_relaxation,
                                 empirical_fourth_moment_tensor)
 
@@ -97,7 +97,7 @@ def test_unbounded_primal_not_reported_optimal():
         prob = SdpProblem(n=n, objective=np.eye(n),
                           constraints=[a], b=[float(np.tensordot(a, x0))])
         sol = solve_sdp(prob)
-        assert sol.status in (INFEASIBLE, MAX_ITERATIONS)
+        assert sol.status == MAX_ITERATIONS
 
 
 def test_scaling_equivariance():
@@ -111,14 +111,20 @@ def test_scaling_equivariance():
 
 
 def test_infeasible_trace():
+    # infeasibility is not detected: the solve never reports an optimum and
+    # ends max_iterations (its iterates overflow on the way)
     prob = SdpProblem(n=2, objective=np.eye(2), constraints=[np.eye(2)], b=[-1.0])
-    assert solve_sdp(prob).status == INFEASIBLE
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_sdp(prob)
+    assert not sol.optimal and sol.status == MAX_ITERATIONS
 
 
 def test_inconsistent_equalities():
     prob = SdpProblem(n=2, objective=np.eye(2),
                       constraints=[np.eye(2), 2 * np.eye(2)], b=[1.0, 3.0])
-    assert solve_sdp(prob).status == INFEASIBLE
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_sdp(prob)
+    assert not sol.optimal and sol.status == MAX_ITERATIONS
 
 
 def test_redundant_equalities_ok():
@@ -145,7 +151,7 @@ def test_inconsistent_random_equalities_never_optimal():
         prob = SdpProblem(n=n, objective=_random_sym(rng, n), constraints=mats, b=b)
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_sdp(prob)
-        assert sol.status in (INFEASIBLE, MAX_ITERATIONS)
+        assert sol.status == MAX_ITERATIONS
 
 
 def test_sos_rows_are_independent_and_depend_on_d_alone():
@@ -173,10 +179,11 @@ def test_constraint_stack_copied_only_when_not_symmetric():
     assert np.array_equal(prob.constraints, (skew + skew.transpose(0, 2, 1)) / 2)
 
 
-def test_unbounded_reported_infeasible_dual():
-    # no constraints and an objective with positive eigenvalue: unbounded above
-    prob = SdpProblem(n=2, objective=np.eye(2), constraints=[], b=[])
-    assert solve_sdp(prob).status == INFEASIBLE
+def test_empty_constraint_stack_raises():
+    with pytest.raises(ValueError):
+        SdpProblem(n=2, objective=np.eye(2), constraints=[], b=[])
+    with pytest.raises(ValueError):
+        SdpProblem(n=2, objective=np.eye(2), constraints=np.zeros((0, 2, 2)), b=[])
 
 
 def test_tolerance_validation():
@@ -220,7 +227,7 @@ def test_numerical_breakdown_ends_with_a_status():
     for draw in (88, 153):
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_sdp(problems[draw])
-        assert sol.status in (OPTIMAL, INFEASIBLE, MAX_ITERATIONS)
+        assert sol.status in (OPTIMAL, MAX_ITERATIONS)
         assert not sol.optimal or check_solution(problems[draw], sol)
 
 

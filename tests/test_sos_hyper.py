@@ -319,6 +319,33 @@ def test_hypercontractivity_overflow_rejects():
         hypercontractivity_test(pts, 1.0, 10.0)
 
 
+@pytest.mark.parametrize("kind, d, seed", [
+    ("product_laplace", 4, 2), ("product_laplace", 5, 0),
+    ("product_laplace", 5, 1), ("product_laplace", 5, 2),
+    ("standard_gaussian", 5, 0),
+])
+def test_hypercontractivity_verdict_is_scale_free(kind, d, seed):
+    # x -> s x with gamma -> s gamma leaves the test unchanged; with s a power
+    # of two the moment matrix scales exactly by s^4 (criterion 05 samples)
+    n = min(int((2 * d * math.log(16 * d)) ** 4), 100_000)
+    pts = sample_marginal(MarginalSpec(kind, d), n, seed=seed)
+    expected = hypercontractivity_test(pts, 1.0, 10.0).accepted
+    for k in (-20, -10, 10, 12, 20, 40, 100, 120):
+        verdict = hypercontractivity_test(pts * 2.0**k, 2.0**k, 10.0)
+        assert verdict.accepted == expected, (k, verdict.diagnostics)
+
+
+def test_rescaled_gaussian_reject_is_optimal():
+    # at 1e20 times the sample, gamma = 1, the solve runs to optimality and
+    # its value is 1e80 times the unscaled maximum fourth moment
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 4), 5000, seed=0)
+    brute, _ = brute_force_max_fourth_moment(pts)
+    verdict = hypercontractivity_test(pts * 1e20, 1.0, 10.0)
+    assert not verdict.accepted
+    assert verdict.diagnostics["stop_reason"] == "optimal"
+    assert verdict.diagnostics["sdp_value"] >= 1e80 * brute * (1.0 - 1e-9)
+
+
 def _criterion_05_06_samples():
     """Seed 0 of every criterion 05 cell and the first two of criterion 06."""
     for kind in ("standard_gaussian", "product_laplace", "uniform_cube"):
