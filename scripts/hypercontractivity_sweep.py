@@ -2,10 +2,12 @@
 """Sweep the SOS hypercontractivity certificate over marginal families.
 
 Reproduces the completeness/soundness picture: structured families stay
-far below the accept threshold (C_hyper - 1) * gamma^4 at the theory-sized
-samples, heavy-tailed and spiked ones blow past it.  The accept rate is the
+far below the accept threshold C_hyper - 1 at the theory-sized samples,
+heavy-tailed and spiked ones blow past it.  The accept rate is the
 tester's, which stops at the first certified bound below the threshold; the
 value columns are the relaxation values of full solves of the same samples.
+Like the tester, both see the sample in units of gamma (x / gamma), so
+threshold and values are in units of gamma^4.
 
     python scripts/hypercontractivity_sweep.py --out sweep.csv
 """
@@ -45,7 +47,8 @@ def main():
                 pts = sample_marginal(spec, n, seed=args.seed + trial)
                 accepts += hypercontractivity_test(pts, args.gamma,
                                                    args.c_hyper).accepted
-                values.append(solve_relaxation(empirical_fourth_moment_tensor(pts))[0])
+                values.append(solve_relaxation(
+                    empirical_fourth_moment_tensor(pts / args.gamma))[0])
             rows.append([kind, d, n, accepts / args.trials,
                          f"{np.nanmedian(values):.3f}",
                          f"{np.nanmax(values):.3f}"])

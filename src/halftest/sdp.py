@@ -18,7 +18,7 @@ one eigh and one solve of the Schur matrix, and four eigvalsh; S is never
 inverted.
 
 The dual is  minimize b^T y  s.t.  S = sum_i y_i A_i - C >= 0, and an
-``optimal`` solution certifies a duality gap below the requested tolerance.
+``optimal`` solution certifies a relative duality gap below ``DEFAULT_TOL``.
 The dual value is an upper bound on the optimum only when S is psd, which an
 iterate meets only up to tolerance.  A problem that states a bound tau on
 tr X over its feasible set (``trace_bound``) gets a bound that holds for
@@ -51,7 +51,6 @@ CERTIFIED = "certified"
 MAX_ITERATIONS = "max_iterations"
 
 DEFAULT_TOL = 1e-8
-TOL_PSD = 1e-7
 TOL_FEAS = 1e-7
 DEFAULT_MAX_ITER = 500
 
@@ -101,7 +100,6 @@ class SdpSolution:
     value: float
     dual_value: float
     status: str
-    gap: float = math.inf
     iterations: int = 0
     # smallest certified upper bound on the optimum over the iterates, and
     # the lowered lambda_min(S) it was computed from (see _dual_bound)
@@ -173,11 +171,13 @@ def _dual_bound(aty: np.ndarray, y: np.ndarray, b: np.ndarray, c: np.ndarray,
     return float(b @ y + t + (m + 3) * eps * (np.abs(b) @ np.abs(y) + t)), lam_lo
 
 
-def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
-              max_iterations: int = DEFAULT_MAX_ITER,
+def solve_sdp(problem: SdpProblem, max_iterations: int = DEFAULT_MAX_ITER,
               threshold: float | None = None) -> SdpSolution:
-    """Interior-point solve; ``optimal`` certifies gap <= tol and feasibility
-    within TOL_FEAS / TOL_PSD.  Otherwise the solve ends with status
+    """Interior-point solve; ``optimal`` certifies a duality gap of at most
+    DEFAULT_TOL relative to 1 + |<C, X>| + |b^T y|, and primal and dual
+    residuals of at most TOL_FEAS relative to 1 + ||b|| and 1 + ||C||.
+    Definiteness is not tested: the step lengths keep X and S inside the
+    cone.  Otherwise the solve ends with status
     MAX_ITERATIONS: after ``max_iterations`` iterates, or at a step that
     breaks down numerically, with the iterate that step started from.  An
     infeasible or unbounded problem ends this way too.
@@ -188,8 +188,6 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     iterate where that bound is at most the threshold, before the
     optimality test.  The iterates never depend on the threshold.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
     n = problem.n
@@ -210,10 +208,9 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     certify = math.isfinite(problem.trace_bound)
     bound, lam_bound = math.inf, math.nan
 
-    def finish(status, gap):
+    def finish(status):
         return SdpSolution(X=x, value=pobj, dual_value=dobj, status=status,
-                           gap=gap, iterations=it, bound=bound,
-                           lambda_min=lam_bound)
+                           iterations=it, bound=bound, lambda_min=lam_bound)
 
     # A_i R and the scaled constraints R^T A_i R, rewritten every iteration
     ar = np.empty_like(a)
@@ -226,18 +223,17 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         r_d = c + s - aty   # want 0
         pobj = float(np.tensordot(c, x))
         dobj = float(b @ y)
-        gap = dobj - pobj
         if certify:
             ub, lam = _dual_bound(aty, y, b, c, a_norms, problem.trace_bound)
             if ub < bound:
                 bound, lam_bound = ub, lam
             if threshold is not None and bound <= threshold:
-                return finish(CERTIFIED, gap)
-        rel_gap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
+                return finish(CERTIFIED)
+        rel_gap = abs(dobj - pobj) / (1.0 + abs(pobj) + abs(dobj))
         feas_p = np.linalg.norm(r_p) / norm_b
         feas_d = np.linalg.norm(r_d) / norm_c
-        if rel_gap <= tol and feas_p <= TOL_FEAS and feas_d <= TOL_FEAS:
-            return finish(OPTIMAL, max(gap, 0.0))
+        if rel_gap <= DEFAULT_TOL and feas_p <= TOL_FEAS and feas_d <= TOL_FEAS:
+            return finish(OPTIMAL)
         if it == max_iterations:
             break
         try:
@@ -277,4 +273,4 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
                        symmetrize(s + ad * (np.tensordot(dy, a, axes=1) - r_d)))
         except (np.linalg.LinAlgError, NonFiniteError):
             break
-    return finish(MAX_ITERATIONS, gap)
+    return finish(MAX_ITERATIONS)

@@ -35,12 +35,13 @@ dual iterate y of the solver yields the rigorous upper bound
 b^T y + max(0, -lambda_min(A^T y - C)) on the relaxation value, with a
 rounding margin on lambda_min (``sdp._dual_bound``).
 
-A tester built on the relaxation accepts a sample exactly when such a bound
-is at most ``(C_hyper - 1) * gamma^4``, and stops the solve at the first
-iterate where it is; on acceptance every unit direction v has empirical
-fourth moment ``E[<v,x>^4] <= C_hyper * gamma^4``, because the relaxation
-upper-bounds the true maximum.  The bound holds whatever the solver did, so
-no feasibility tolerance enters an accept.  A sample without such a bound
+A tester built on the relaxation asks it one question in units of gamma:
+it accepts a sample x exactly when such a bound for the sample x / gamma is
+at most ``C_hyper - 1``, and stops the solve at the first iterate where it
+is; on acceptance every unit direction v has empirical fourth moment
+``E[<v,x>^4] <= C_hyper * gamma^4``, because the relaxation upper-bounds
+the true maximum.  The bound holds whatever the solver did, so no
+feasibility tolerance enters an accept.  A sample without such a bound
 is rejected; rejecting is always sound, and numerical trouble can only
 cost completeness.
 """
@@ -120,16 +121,17 @@ def build_degree4_relaxation(c: np.ndarray) -> SdpProblem:
     return SdpProblem(n, c, constraints, b, trace_bound=1.0)
 
 
-def solve_relaxation(c: np.ndarray, tol: float = 1e-8,
+def solve_relaxation(c: np.ndarray,
                      threshold: float | None = None) -> tuple[float, SdpSolution]:
     """The certified upper bound ``sol.bound`` on the relaxation value, NaN
     unless the solve is ``optimal`` or ``certified``.
 
-    Without a threshold the solve runs to a duality gap of ``tol``, where the
-    bound is within about the gap of the optimum.  Given a threshold the
-    solve stops, with status ``certified``, at the first iterate whose bound
-    is at most the threshold; otherwise it runs on as without one, and an
-    ``optimal`` solve then has a bound above the threshold.
+    Without a threshold the solve runs to ``solve_sdp``'s optimality test,
+    where the bound is within about the duality gap of the optimum.  Given
+    a threshold the solve stops, with status ``certified``, at the first
+    iterate whose bound is at most the threshold; otherwise it runs on as
+    without one, and an ``optimal`` solve then has a bound above the
+    threshold.
     """
-    sol = solve_sdp(build_degree4_relaxation(c), tol=tol, threshold=threshold)
+    sol = solve_sdp(build_degree4_relaxation(c), threshold=threshold)
     return (sol.bound if sol.status in (CERTIFIED, OPTIMAL) else math.nan), sol

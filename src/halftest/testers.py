@@ -142,29 +142,34 @@ def strip_probability(data, w: np.ndarray, sigma: float) -> float:
 
 def hypercontractivity_test(points, gamma: float,
                             c_hyper: float = 10.0) -> TesterVerdict:
-    """Accept iff some iterate of the degree-4 SOS relaxation solve gives a
-    rigorous upper bound on the maximum directional fourth moment that is
-    <= (c_hyper - 1) * gamma^4.
+    """Accept iff some iterate of the degree-4 SOS relaxation solve on the
+    sample x / gamma gives a rigorous upper bound on its maximum directional
+    fourth moment that is <= c_hyper - 1.
 
-    The solve stops at the first such iterate (status ``certified``);
-    otherwise it runs to a duality gap of min(1e-8, gamma^4) and rejects.
-    The iterates do not depend on the threshold, so an accept stays an
-    accept as c_hyper grows.  Diagnostics: ``stop_reason`` (the SDP status,
-    or the type of a numerical error), ``iterations``, ``lambda_min_s`` (the
-    lowered lambda_min of the dual slack behind the best bound), and for a
-    certified or optimal solve ``sdp_value`` (the certified upper bound on
-    the relaxation value) and ``slack = threshold - sdp_value``, which is
-    >= 0 exactly when the test accepts.
+    Like E[<v,x>^4] <= c_hyper gamma^4, the test is unchanged when x and
+    gamma are scaled together; ``threshold``, ``sdp_value`` and ``slack``
+    are in units of gamma^4.  The certificate covers the rounded x / gamma,
+    which is exact when gamma is a power of two and no entry underflows.
+    The solve stops at the first certifying iterate (status ``certified``);
+    otherwise it runs on like an unthresholded solve and rejects.  The iterates do not depend on the
+    threshold, so an accept stays an accept as c_hyper grows.  Diagnostics:
+    ``stop_reason`` (the SDP status, or the type of a numerical error),
+    ``iterations``, ``lambda_min_s`` (the lowered lambda_min of the dual
+    slack behind the best bound), and for a certified or optimal solve
+    ``sdp_value`` (the certified upper bound on the relaxation value) and
+    ``slack = threshold - sdp_value``, which is >= 0 exactly when the test
+    accepts.
     """
     pts = _as_points(points)
-    if gamma <= 0:
-        raise PreconditionError("gamma must be positive")
-    threshold = (c_hyper - 1.0) * gamma**4
-    moments = empirical_fourth_moment_tensor(pts)
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise PreconditionError("gamma must be finite and positive")
+    if not (math.isfinite(c_hyper) and c_hyper > 0):
+        raise PreconditionError("c_hyper must be finite and positive")
+    threshold = c_hyper - 1.0
     diag = {"threshold": threshold, "n": pts.shape[0]}
     try:
-        value, sol = solve_relaxation(moments, tol=min(1e-8, gamma**4),
-                                      threshold=threshold)
+        moments = empirical_fourth_moment_tensor(pts / gamma)
+        value, sol = solve_relaxation(moments, threshold=threshold)
     except (np.linalg.LinAlgError, NonFiniteError) as exc:
         diag["stop_reason"] = type(exc).__name__
         return TesterVerdict(accepted=False, diagnostics=diag)

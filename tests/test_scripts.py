@@ -15,20 +15,6 @@ def run_script(name, *args):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_tester_calibration_report():
-    proc = run_script("tester_calibration_report.py")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "strip constant c1*lambda^c1 = 81"
-    assert "must stay below 4.050e+00" in proc.stdout
-    assert "certified disagreement bound: 20.2" in proc.stdout
-
-
-def test_tester_calibration_report_rejects_small_lambda():
-    proc = run_script("tester_calibration_report.py", "--lambda", "0.5")
-    assert proc.returncode == 2
-    assert "lam must be >= 1" in proc.stderr
-
-
 def test_hypercontractivity_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     proc = run_script("hypercontractivity_sweep.py", "--dims", "2",

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from halftest.sdp import (MAX_ITERATIONS, OPTIMAL, TOL_FEAS, TOL_PSD, SdpProblem,
+from halftest.sdp import (MAX_ITERATIONS, OPTIMAL, TOL_FEAS, SdpProblem,
                           _max_step, _nt_scaling, solve_sdp)
 from halftest.sos_hyper import (build_degree4_relaxation,
                                 empirical_fourth_moment_tensor)
+
+TOL_PSD = 1e-7
 
 
 def check_solution(problem, sol):
@@ -186,10 +188,8 @@ def test_empty_constraint_stack_raises():
         SdpProblem(n=2, objective=np.eye(2), constraints=np.zeros((0, 2, 2)), b=[])
 
 
-def test_tolerance_validation():
+def test_max_iterations_validation():
     prob = SdpProblem(n=2, objective=np.eye(2), constraints=[np.eye(2)], b=[1.0])
-    with pytest.raises(ValueError):
-        solve_sdp(prob, tol=0.0)
     with pytest.raises(ValueError):
         solve_sdp(prob, max_iterations=0)
 

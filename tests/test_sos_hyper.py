@@ -6,7 +6,7 @@ import pytest
 
 from halftest import testers
 from halftest.distributions import MarginalSpec, sample_marginal
-from halftest.errors import NonFiniteError
+from halftest.errors import NonFiniteError, PreconditionError
 from halftest.oracle import brute_force_max_fourth_moment, fourth_moment_tensor
 from halftest.sdp import MAX_ITERATIONS, SdpSolution, _dual_bound, solve_sdp
 from halftest.sos_hyper import (build_degree4_relaxation,
@@ -326,13 +326,45 @@ def test_hypercontractivity_overflow_rejects():
 ])
 def test_hypercontractivity_verdict_is_scale_free(kind, d, seed):
     # x -> s x with gamma -> s gamma leaves the test unchanged; with s a power
-    # of two the moment matrix scales exactly by s^4 (criterion 05 samples)
+    # of two, s x / s = x exactly, so the whole verdict is identical
+    # (criterion 05 samples)
     n = min(int((2 * d * math.log(16 * d)) ** 4), 100_000)
     pts = sample_marginal(MarginalSpec(kind, d), n, seed=seed)
-    expected = hypercontractivity_test(pts, 1.0, 10.0).accepted
-    for k in (-20, -10, 10, 12, 20, 40, 100, 120):
+    expected = hypercontractivity_test(pts, 1.0, 10.0)
+    for k in (-200, -100, -20, -10, 10, 20, 100, 127, 128, 200):
         verdict = hypercontractivity_test(pts * 2.0**k, 2.0**k, 10.0)
-        assert verdict.accepted == expected, (k, verdict.diagnostics)
+        assert verdict.diagnostics == expected.diagnostics, k
+        assert verdict.accepted == expected.accepted
+
+
+def test_hypercontractivity_extreme_gamma_gives_a_verdict():
+    # gamma^4 overflows at 1e80 and underflows to 0 at 1e-100; the test
+    # never forms it, so each gamma returns a verdict on x / gamma
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 4), 5000, seed=0)
+    unit = hypercontractivity_test(pts, 1.0, 10.0)
+    assert unit.accepted
+    for gamma in (1e80, 1e-100):
+        verdict = hypercontractivity_test(pts * gamma, gamma, 10.0)
+        assert verdict.accepted
+        assert verdict.diagnostics["stop_reason"] == "certified"
+        assert verdict.diagnostics["sdp_value"] == pytest.approx(
+            unit.diagnostics["sdp_value"], rel=1e-12)
+    # the raw sample is tiny in units of 1e80 and overflows in units of 1e-100
+    assert hypercontractivity_test(pts, 1e80, 10.0).accepted
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = hypercontractivity_test(pts, 1e-100, 10.0)
+    assert not huge.accepted
+    assert huge.diagnostics["stop_reason"] == "NonFiniteError"
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_hypercontractivity_parameters_must_be_finite_and_positive(bad):
+    # gamma = inf would turn the sample into zeros and accept it
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 100, seed=30)
+    with pytest.raises(PreconditionError):
+        hypercontractivity_test(pts, bad, 10.0)
+    with pytest.raises(PreconditionError):
+        hypercontractivity_test(pts, 1.0, bad)
 
 
 def test_rescaled_gaussian_reject_is_optimal():
