@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 from .distributions import (Dataset, MarginalSpec, NoiseModel,
                             empirical_error, label_dataset, sample_marginal)
 from .learner import (FixedDatasetSource, LearnerConfig, LearnerOutcome,
-                      SigmaGrid, SyntheticSource, make_sigma_grid,
-                      universal_tester_learner)
+                      SyntheticSource, make_sigma_grid, universal_tester_learner)
 from .surrogate import (PsgdConfig, RampParams, psgd, smooth_ramp,
                         smooth_ramp_derivative, surrogate_gradient,
                         surrogate_loss)
@@ -26,8 +25,8 @@ from .testers import (TesterConfig, TesterVerdict, hypercontractivity_test,
 __all__ = [
     "Dataset", "MarginalSpec", "NoiseModel", "empirical_error",
     "label_dataset", "sample_marginal",
-    "FixedDatasetSource", "LearnerConfig", "LearnerOutcome", "SigmaGrid",
-    "SyntheticSource", "make_sigma_grid", "universal_tester_learner",
+    "FixedDatasetSource", "LearnerConfig", "LearnerOutcome", "SyntheticSource",
+    "make_sigma_grid", "universal_tester_learner",
     "PsgdConfig", "RampParams", "psgd", "smooth_ramp",
     "smooth_ramp_derivative", "surrogate_gradient", "surrogate_loss",
     "TesterConfig", "TesterVerdict", "hypercontractivity_test",

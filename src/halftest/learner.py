@@ -2,10 +2,11 @@
 
 A single run executes, in order:
 
-1. build the sigma grid and the gradient-norm threshold A from
-   (eps, lambda, gamma, noise) — a singleton sigma for Massart, a uniform
-   cover of (0, 1/(c1 lam^c1)] for agnostic noise — and draw S1 and a
-   fresh S2;
+1. build the sigma grid from (eps, lambda, gamma, noise) — a singleton
+   sigma for Massart, a uniform cover of (0, 1/(c1 lam^c1)] for agnostic
+   noise — and take the gradient-norm threshold A and each sigma's angle
+   theta(sigma) from ``TesterConfig.stationary_bounds`` at the grid's
+   (lambda, gamma); draw S1 and a fresh S2;
 2. for each sigma in ascending order:
 
    a. run projected SGD on the surrogate loss over S1; its iterates are
@@ -13,8 +14,8 @@ A single run executes, in order:
    b. compute each candidate's surrogate-gradient norm on S2 and keep the
       one with the smallest norm; reject if that norm is above A;
    c. run the stationary-point tester on the survivor (reject on failure);
-   d. run the local-disagreement tester on the survivor at
-      theta = (1+gamma^4) sigma/(A gamma^4) (reject on failure); one call
+   d. run the local-disagreement tester on the survivor at theta(sigma),
+      the angle the stationary test certifies (reject on failure); one call
       covers -w as well, since |<-w,x>| = |<w,x>| and
       angle(-w,-w') = angle(w,w'), so both signs give the same statistics;
 
@@ -28,11 +29,12 @@ reject at the first sigma that fails, and the trace's ``per_sigma`` then
 ends at that sigma.
 
 The sigma grid is pruned up front to the widths the testers can actually
-certify (sigma <= 1/(2 lam_tester) and theta(sigma) <= pi/4); the
-asymptotic worst-case constants would otherwise demand slab widths that no
-finite sample populates.  Tester thresholds may be calibrated at a
-different niceness level than the grid arithmetic, which is why the tester
-carries its own lambda.
+certify (sigma <= 1/(2 lam_tester) and 0 < theta(sigma) <= pi/4, the very
+theta the disagreement tester is later given); the asymptotic worst-case
+constants would otherwise demand slab widths that no finite sample
+populates.  Tester thresholds may be calibrated at a different niceness
+level than the grid arithmetic, which is why the tester carries its own
+lambda.
 
 PSGD inside the learner starts from the label-weighted mean direction
 normalize(sum_i y_i x_i).  Besides being a strong initializer, it makes
@@ -62,20 +64,6 @@ from .distributions import (Dataset, MarginalSpec, NoiseModel, empirical_error,
 from .errors import InsufficientSamplesError
 from .surrogate import PsgdConfig, RampParams, gradient_norms, psgd
 from .testers import TesterConfig, local_disagreement_test, stationary_point_test
-
-
-@dataclass(frozen=True)
-class SigmaGrid:
-    values: tuple
-    threshold: float  # the gradient-norm acceptance level A
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("sigma grid must be nonempty")
-        if any(s <= 0 for s in self.values):
-            raise ValueError("sigma values must be positive")
-        if list(self.values) != sorted(self.values):
-            raise ValueError("sigma values must be ascending")
 
 
 @dataclass(frozen=True)
@@ -117,6 +105,11 @@ class LearnerConfig:
                 raise ValueError("massart requires eta in [0, 1/2)")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        self.grid_tester()  # a ValueError here fails before any sampling
+
+    def grid_tester(self) -> TesterConfig:
+        """The tester's constants at the grid's (lam, gamma)."""
+        return replace(self.tester, lam=self.lam, gamma=self.gamma)
 
 
 @dataclass
@@ -179,37 +172,22 @@ class FixedDatasetSource:
         return out
 
 
-def make_sigma_grid(cfg: LearnerConfig) -> SigmaGrid:
-    """The sigma list and gradient threshold A.
+def make_sigma_grid(cfg: LearnerConfig) -> tuple:
+    """The ascending sigma values.
 
-    Massart: a singleton sigma = E (1-2 eta) / (c1 lam^c1 (1+gamma^4)) with
-    A = (1-2 eta)/(c1 lam^c1 gamma^4).  Agnostic: a uniform
-    E/(c1 lam^c1)-spaced cover of (0, 1/(c1 lam^c1)] starting one spacing
-    above zero, with A = 1/(c1 lam^c1 gamma^4).  Here E = eps/(c1 lam^c1)
-    and c1 is the tester's calibration constant.
+    Massart: a singleton sigma = E (1-2 eta) / (c1 lam^c1 (1+gamma^4)).
+    Agnostic: a uniform E/(c1 lam^c1)-spaced cover of (0, 1/(c1 lam^c1)]
+    starting one spacing above zero.  Here E = eps/(c1 lam^c1) and c1 is
+    the tester's calibration constant.
     """
-    k = cfg.tester.c1 * cfg.lam ** cfg.tester.c1
-    g4 = cfg.gamma**4
+    k = cfg.grid_tester().strip_constant
     e = cfg.eps / k
     if cfg.noise == "massart":
-        sigma = e * (1.0 - 2.0 * cfg.eta) / (k * (1.0 + g4))
-        a = (1.0 - 2.0 * cfg.eta) / (k * g4)
-        return SigmaGrid(values=(sigma,), threshold=a)
+        return (e * (1.0 - 2.0 * cfg.eta) / (k * (1.0 + cfg.gamma**4)),)
     spacing = e / k
     top = 1.0 / k
     count = max(1, int(math.floor(top / spacing + 1e-9)))
-    values = tuple(spacing * (i + 1) for i in range(count))
-    return SigmaGrid(values=values, threshold=1.0 / (k * g4))
-
-
-def runnable_sigmas(grid: SigmaGrid, cfg: LearnerConfig) -> tuple:
-    """Grid values whose tester preconditions are satisfiable: the
-    stationary tester needs sigma <= 1/(2 lam_tester) and the disagreement
-    tester needs theta(sigma) <= pi/4."""
-    g4 = cfg.gamma**4
-    theta_cap = math.pi / 4.0 * grid.threshold * g4 / (1.0 + g4)
-    cap = min(1.0 / (2.0 * cfg.tester.lam), theta_cap)
-    return tuple(s for s in grid.values if s <= cap)
+    return tuple(spacing * (i + 1) for i in range(count))
 
 
 def equivariant_init(ds: Dataset) -> np.ndarray:
@@ -230,24 +208,28 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
     s1 = source.draw(cfg.n1, stream_id=base_stream)
     s2 = source.draw(cfg.n2, stream_id=base_stream + 2)
 
-    grid = make_sigma_grid(cfg)
-    sigmas = runnable_sigmas(grid, cfg)
-    a_threshold = grid.threshold
-    trace = {"sigma_grid": list(grid.values), "sigma_runnable": list(sigmas),
+    grid_cfg = cfg.grid_tester()
+    eta_arg = cfg.eta if cfg.noise == "massart" else None
+    sigmas = make_sigma_grid(cfg)
+    bounds = [grid_cfg.stationary_bounds(s, eta_arg) for s in sigmas]
+    a_threshold = bounds[0][0]  # A does not depend on sigma
+    runnable = [(s, theta) for s, (_, theta) in zip(sigmas, bounds)
+                if s <= 1.0 / (2.0 * cfg.tester.lam)
+                and 0.0 < theta <= math.pi / 4.0]
+    trace = {"sigma_grid": list(sigmas),
+             "sigma_runnable": [s for s, _ in runnable],
              "gradient_threshold": a_threshold, "per_sigma": {}}
 
     def reject(stage: str) -> LearnerOutcome:
         return LearnerOutcome(accepted=False, stage=stage, trace=trace,
                               wall_time=time.perf_counter() - start)
 
-    if not sigmas:
+    if not runnable:
         return reject("empty_sigma_grid")
 
     w0 = equivariant_init(s1)
-    eta_arg = cfg.eta if cfg.noise == "massart" else None
-    g4 = cfg.gamma**4
     survivors = []  # (sigma, w)
-    for idx, sigma in enumerate(sigmas):
+    for idx, (sigma, theta) in enumerate(runnable):
         params = RampParams(sigma)
         psgd_cfg = replace(cfg.psgd, seed=seed + 7919 * (idx + 1) + 104729 * rep)
         iterates = psgd(s1, params, psgd_cfg, w0=w0)
@@ -266,7 +248,6 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
         info["stationary_accepted"] = verdict.accepted
         if not verdict.accepted:
             return reject("stationary_test")
-        theta = (1.0 + g4) * sigma / (a_threshold * g4)
         d_verdict = local_disagreement_test(s2.points, w, theta, cfg.tester)
         info["disagreement"] = d_verdict.diagnostics
         info["disagreement_accepted"] = d_verdict.accepted

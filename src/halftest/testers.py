@@ -90,11 +90,26 @@ class TesterConfig:
             raise ValueError("gamma must be > 0")
         if self.c1 <= 0 or self.c_hyper <= 0:
             raise ValueError("constants must be positive")
+        try:  # a float ** that overflows, or a / 0, raises instead of inf
+            bounds = self.stationary_bounds(1.0 / (2.0 * self.lam), None)
+        except ArithmeticError:
+            bounds = (math.inf,)
+        if not all(0.0 < b < math.inf for b in bounds):
+            raise ValueError("c1 lam^c1 and gamma^4 must give finite, positive "
+                             "stationary bounds")
 
     @property
     def strip_constant(self) -> float:
         """c1 * lam^c1, the compound constant in every strip threshold."""
         return self.c1 * self.lam ** self.c1
+
+    def stationary_bounds(self, sigma: float, eta: Optional[float]) -> tuple:
+        """(gradient_threshold, angle_bound) of the stationary-point test:
+        (1-2 eta)/(c1 lam^c1 gamma^4) and c1 lam^c1 (1+gamma^4) sigma/(1-2 eta),
+        with 1-2 eta read as 1 when eta is None (agnostic)."""
+        k, g4 = self.strip_constant, self.gamma**4
+        scale = 1.0 if eta is None else 1.0 - 2.0 * eta
+        return scale / (k * g4), k * (1.0 + g4) * sigma / scale
 
 
 def _as_points(data) -> np.ndarray:
@@ -115,9 +130,9 @@ def _require_unit(w: np.ndarray) -> np.ndarray:
 def spectral_test(points, theta: float, mode: str) -> TesterVerdict:
     """Spectral tester on M_S = E_S[z z^T]: accept iff min eig > theta/2
     (mode='min') or max eig < 2 theta (mode='max')."""
+    if not (math.isfinite(theta) and theta > 0):
+        raise PreconditionError("theta must be finite and positive")
     pts = _as_points(points)
-    if theta <= 0:
-        raise PreconditionError("theta must be positive")
     m = pts.T @ pts / pts.shape[0]
     diag = {"n": pts.shape[0], "theta": float(theta)}
     if mode == "min":
@@ -319,7 +334,6 @@ def stationary_point_test(data, w: np.ndarray, sigma: float,
     if not hyper.accepted:
         return _reject(diag, "hypercontractivity")
 
-    scale = 1.0 if eta is None else 1.0 - 2.0 * eta
-    diag["gradient_threshold"] = scale / (k * cfg.gamma**4)
-    diag["angle_bound"] = k * (1.0 + cfg.gamma**4) * sigma / scale
+    bounds = cfg.stationary_bounds(sigma, eta)
+    diag["gradient_threshold"], diag["angle_bound"] = bounds
     return TesterVerdict(accepted=True, diagnostics=diag)

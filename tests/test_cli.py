@@ -94,6 +94,40 @@ def test_disagreement_precondition_exit_code(tmp_path, gauss_csv):
     assert main(["test", gauss_csv, "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("name, value", [
+    ("gamma", 1e80), ("gamma", 1e-100), ("c1", 1000.0)])
+def test_tester_constant_that_overflows_is_a_config_error(
+        tmp_path, gauss_csv, capsys, name, value):
+    cfg = write_config(tmp_path, "t.json", {
+        "tester": "stationary", "w": [1.0, 0.0, 0.0], "sigma": 0.1,
+        "tester_config": {"lambda": 3.0, name: value}})
+    assert main(["test", gauss_csv, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_readme_calibration_example(tmp_path, capsys):
+    # README "Calibration": the example's configs and the numbers it quotes,
+    # at their printed precision
+    sample = write_config(tmp_path, "sample.json", {
+        "marginal": {"kind": "standard_gaussian", "dim": 5},
+        "n": 100000, "seed": 7})
+    tester = write_config(tmp_path, "tester.json", {
+        "tester": "stationary", "w": [1, 0, 0, 0, 0], "sigma": 0.0022,
+        "eta": None, "tester_config": {"lambda": 3.0, "c1": 3.0}})
+    data = str(tmp_path / "data.csv")
+    assert main(["sample", "--config", sample, "--out", data]) == 0
+    assert main(["test", data, "--config", tester]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["accepted"] is True
+    diag = payload["diagnostics"]
+    assert f"{diag['strip_lower_threshold']:.1e}" == "2.7e-05"
+    assert f"{diag['strip_probability_sixth']:.1e}" == "1.8e-04"
+    assert f"{diag['spectral_upper_threshold']:.3f}" == "0.178"
+    assert f"{diag['half_strip_operator_norm']:.1e}" == "9.2e-04"
+    assert diag["hyper_threshold"] == 9
+    assert f"{diag['hyper_sdp_value']:.2f}" == "7.46"
+
+
 def test_unknown_tester_exit_code(tmp_path, gauss_csv):
     cfg = write_config(tmp_path, "t.json", {"tester": "telepathy"})
     assert main(["test", gauss_csv, "--config", cfg]) == 2
@@ -193,8 +227,9 @@ def test_learn_zero_batch_size_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error:") and "batch_size" in err
 
 
-@pytest.mark.parametrize("name, value", [("gamma", 0), ("eps", math.inf),
-                                         ("lambda", math.nan)])
+@pytest.mark.parametrize("name, value", [
+    ("gamma", 0), ("eps", math.inf), ("lambda", math.nan), ("gamma", 1e80),
+    ("gamma", 1e-100), ("tester", {"lambda": 3.0, "c1": 1000.0})])
 def test_learn_bad_config_number_is_a_config_error(tmp_path, capsys, name,
                                                    value):
     learner = dict(LEARN_CFG["learner"], **{name: value})

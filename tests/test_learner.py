@@ -11,8 +11,7 @@ from halftest.distributions import (Dataset, MarginalSpec, NoiseModel,
 from halftest.errors import InsufficientSamplesError
 from halftest.learner import (FixedDatasetSource, LearnerConfig,
                               SyntheticSource, equivariant_init,
-                              make_sigma_grid, runnable_sigmas,
-                              universal_tester_learner)
+                              make_sigma_grid, universal_tester_learner)
 from halftest.surrogate import PsgdConfig, gradient_norms, psgd
 from halftest.testers import (TesterConfig, TesterVerdict,
                               local_disagreement_test)
@@ -47,10 +46,19 @@ def boundary_flip_source(kind, seed, **kwargs):
 @pytest.mark.parametrize("name, value", [
     ("lam", math.nan), ("lam", math.inf), ("gamma", math.nan),
     ("gamma", math.inf), ("gamma", 0.0), ("gamma", -1.0), ("eps", math.nan),
-    ("eps", math.inf), ("eta", math.nan), ("eta", math.inf)])
+    ("eps", math.inf), ("eta", math.nan), ("eta", math.inf),
+    ("gamma", 1e80), ("gamma", 1e-100)])
 def test_learner_config_rejects_bad_numbers(name, value):
     with pytest.raises(ValueError):
         dataclasses.replace(agnostic_config(), **{name: value})
+
+
+def test_learner_config_rejects_a_grid_constant_that_overflows():
+    # c1 lam^c1 is finite at the tester's lam = 1 and overflows at the
+    # grid's lam = 3
+    tester = TesterConfig(lam=1.0, c1=1000.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(agnostic_config(), lam=3.0, tester=tester)
 
 
 def test_sigma_grid_massart_plugin():
@@ -60,9 +68,10 @@ def test_sigma_grid_massart_plugin():
     cfg = LearnerConfig(lam=1.0, gamma=1.0, eps=0.1, noise="massart", eta=0.1,
                         tester=TesterConfig(lam=1.0, c1=4.0))
     grid = make_sigma_grid(cfg)
-    assert len(grid.values) == 1
-    assert abs(grid.values[0] - 0.0025) < 1e-15
-    assert abs(grid.threshold - 0.2) < 1e-15
+    assert len(grid) == 1
+    assert abs(grid[0] - 0.0025) < 1e-15
+    a_threshold, _ = cfg.grid_tester().stationary_bounds(grid[0], cfg.eta)
+    assert abs(a_threshold - 0.2) < 1e-15
 
 
 def test_sigma_grid_agnostic_cover():
@@ -70,11 +79,15 @@ def test_sigma_grid_agnostic_cover():
     cfg = LearnerConfig(lam=1.0, gamma=1.0, eps=0.4, noise="agnostic",
                         tester=TesterConfig(lam=1.0, c1=4.0))
     grid = make_sigma_grid(cfg)
-    assert len(grid.values) == 10
-    assert abs(grid.values[0] - 0.025) < 1e-12
-    assert abs(grid.values[-1] - 0.25) < 1e-12
-    spacing = np.diff(grid.values)
+    assert len(grid) == 10
+    assert abs(grid[0] - 0.025) < 1e-12
+    assert abs(grid[-1] - 0.25) < 1e-12
+    spacing = np.diff(grid)
     assert np.allclose(spacing, 0.025)
+    # A = 1/(c1 lam^c1 gamma^4) = 1/4 at every sigma
+    for sigma in grid:
+        a_threshold, _ = cfg.grid_tester().stationary_bounds(sigma, None)
+        assert abs(a_threshold - 0.25) < 1e-15
 
 
 def test_sigma_grid_cover_property():
@@ -83,24 +96,55 @@ def test_sigma_grid_cover_property():
     cfg = LearnerConfig(lam=1.0, gamma=1.0, eps=0.4, noise="agnostic",
                         tester=TesterConfig(lam=1.0, c1=4.0))
     grid = make_sigma_grid(cfg)
-    spacing = grid.values[1] - grid.values[0]
+    spacing = grid[1] - grid[0]
     rng = np.random.default_rng(0)
     for _ in range(100):
         target = rng.uniform(1e-9, 0.25)
-        dist = min(abs(target - s) for s in grid.values)
+        dist = min(abs(target - s) for s in grid)
         bound = spacing / 2 if target >= spacing / 2 else spacing
         assert dist <= bound + 1e-12
 
 
 def test_runnable_sigmas_respect_preconditions():
-    cfg = LearnerConfig(lam=1.0, gamma=1.0, eps=0.1, noise="agnostic",
-                        tester=E2E_TESTER)
-    grid = make_sigma_grid(cfg)
-    import math
-    for s in runnable_sigmas(grid, cfg):
-        assert s <= 1.0 / (2.0 * cfg.tester.lam)
-        theta = (1 + cfg.gamma**4) * s / (grid.threshold * cfg.gamma**4)
-        assert theta <= math.pi / 4 + 1e-12
+    # a runnable sigma meets the stationary tester's sigma <= 1/(2 lam) and
+    # the disagreement tester's 0 < theta <= pi/4 at the certified theta
+    cfg = dataclasses.replace(agnostic_config(iterations=5), n1=500, n2=500)
+    out = universal_tester_learner(boundary_flip_source("standard_gaussian", 1),
+                                   cfg, seed=1)
+    grid = out.trace["sigma_grid"]
+    assert grid == list(make_sigma_grid(cfg))
+    expected = [s for s in grid if s <= 1.0 / (2.0 * cfg.tester.lam)
+                and 0.0 < cfg.grid_tester().stationary_bounds(s, None)[1]
+                <= math.pi / 4.0]
+    assert 0 < len(expected) < len(grid)
+    assert out.trace["sigma_runnable"] == expected
+
+
+def test_theta_at_the_pi_over_4_edge_reaches_a_verdict(monkeypatch):
+    # eps = 3 pi/4 puts the Massart sigma's theta = eps/(c1 lam^c1) within
+    # an ulp of pi/4; the sigma runs only if the theta handed to the
+    # disagreement tester meets its precondition
+    cfg = LearnerConfig(lam=1.0, gamma=0.6, eps=2.356194490192345,
+                        noise="massart", eta=0.2,
+                        psgd=PsgdConfig(iterations=5, batch_size=None),
+                        tester=E2E_TESTER, n1=1000, n2=1000)
+    thetas = []
+
+    def recorded_disagreement(points, w, theta, tester):
+        thetas.append(theta)
+        return local_disagreement_test(points, w, theta, tester)
+
+    monkeypatch.setattr(learner, "stationary_point_test",
+                        lambda *args: TesterVerdict(accepted=True))
+    monkeypatch.setattr(learner, "local_disagreement_test", recorded_disagreement)
+    src = SyntheticSource(MarginalSpec("standard_gaussian", 5),
+                          NoiseModel("massart", W_STAR5, eta=0.2), seed=3)
+    out = universal_tester_learner(src, cfg, seed=3)
+    assert out.stage in ("accepted", "disagreement_test")
+    runnable = out.trace["sigma_runnable"]
+    assert thetas and thetas == [
+        cfg.grid_tester().stationary_bounds(s, 0.2)[1] for s in runnable]
+    assert all(theta <= math.pi / 4.0 for theta in thetas)
 
 
 def test_equivariant_init():

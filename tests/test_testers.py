@@ -79,6 +79,22 @@ def test_tester_config_rejects_non_finite(name, value):
         TesterConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("gamma", 1e80), ("gamma", 1e-100), ("c1", 1000.0)])
+def test_tester_config_rejects_constants_that_overflow(name, value):
+    # gamma^4 overflows or underflows to 0; 3^1000 overflows
+    with pytest.raises(ValueError):
+        TesterConfig(lam=3.0, **{name: value})
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
+def test_spectral_checks_theta_before_the_points(theta, mode):
+    # the points are not finite either: theta is checked first
+    with pytest.raises(PreconditionError):
+        spectral_test(np.array([[1.0, math.nan]]), theta, mode)
+
+
 def test_strip_probability_gaussian():
     pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 100_000, seed=40)
     w = unit(np.array([1.0, 1.0, 1.0]))
