@@ -44,32 +44,48 @@ the true maximum.  The bound holds whatever the solver did, so no
 feasibility tolerance enters an accept.  A sample without such a bound
 is rejected; rejecting is always sound, and numerical trouble can only
 cost completeness.
+
+A reject needs no solve when a witness is at hand: for a unit v the rank-one
+M = psi(v) psi(v)^T is feasible with value E[<v,x>^4], so a v whose
+fourth moment exceeds the threshold, re-scored on the sample with a
+rounding margin (``fourth_moment_witness``), proves that no iterate could
+have certified it.  The witness is a lower bound on the relaxation value
+and the certified bound an upper one, so the verdict is the one the solve
+would give, with a direction that anyone can check against the sample.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .numerics import check_finite
+from .numerics import check_finite, unit
 from .sdp import CERTIFIED, OPTIMAL, SdpProblem, SdpSolution, solve_sdp
+
+WITNESS_STEPS = 8  # power steps a witness search may take
 
 
 def empirical_fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
-    """The D x D pair-moment matrix C = Phi^T Phi / n of the sample."""
+    """The D x D pair-moment matrix C = Phi^T Phi / n of the sample.
+
+    Phi^T is filled feature-major, one contiguous row of n products per
+    pair, and its Gram product is C.
+    """
     points = check_finite(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty (n, d) array")
     n, d = points.shape
-    phi = np.empty((n, d * (d + 1) // 2))
+    xt = np.ascontiguousarray(points.T)
+    phi_t = np.empty((d * (d + 1) // 2, n))
     start = 0
     for i in range(d):
-        block = phi[:, start:start + d - i]
-        np.multiply(points[:, i:], points[:, i, None], out=block)
-        block[:, 1:] *= 2.0
+        block = phi_t[start:start + d - i]
+        np.multiply(xt[i:], xt[i], out=block)
+        block[1:] *= 2.0
         start += d - i
-    return phi.T @ phi / n
+    return phi_t @ phi_t.T / n
 
 
 def build_degree4_relaxation(c: np.ndarray) -> SdpProblem:
@@ -98,6 +114,15 @@ def build_degree4_relaxation(c: np.ndarray) -> SdpProblem:
     d = (math.isqrt(8 * n + 1) - 1) // 2
     if d < 1 or c.shape != (n, n) or d * (d + 1) // 2 != n:
         raise ValueError("c must be D x D with D = d(d+1)/2 for some d >= 1")
+    constraints, b = _constraint_stack(d)
+    return SdpProblem(n, c, constraints, b, trace_bound=1.0)
+
+
+@functools.lru_cache(maxsize=4)
+def _constraint_stack(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (constraints, b) of the relaxation in dimension d,
+    built once per d and shared by every problem of that dimension."""
+    n = d * (d + 1) // 2
     pi, pj = np.triu_indices(d)
     ga, gb = np.triu_indices(n)                 # Gram positions, row-major
     quartic = np.sort([pi[ga], pj[ga], pi[gb], pj[gb]], axis=0)
@@ -118,7 +143,97 @@ def build_degree4_relaxation(c: np.ndarray) -> SdpProblem:
         np.add.at(constraints, (rows, gb[pos], ga[pos]), sign)
     b = np.zeros(m)
     b[0] = 1.0
-    return SdpProblem(n, c, constraints, b, trace_bound=1.0)
+    constraints.flags.writeable = False
+    b.flags.writeable = False
+    return constraints, b
+
+
+def fourth_moment_witness(points: np.ndarray, c: np.ndarray,
+                          threshold: float) -> tuple[float, np.ndarray] | None:
+    """(value, v): a direction v whose fourth moment on the sample provably
+    exceeds ``threshold``, and that moment E[<v,x>^4] / |v|^4; or None.
+
+    ``c`` is the sample's pair-moment matrix.  For unit v the matrix
+    M = psi(v) psi(v)^T is feasible for the relaxation with value
+    psi(v)^T C psi(v) = E[<v,x>^4], so a witness proves that the relaxation
+    value exceeds the threshold, and no dual bound can certify the sample.
+
+    Since psi^T C psi <= lambda_max(C) |psi|^2 <= lambda_max(C) for unit v,
+    there is none when lambda_max(C) <= threshold.  Otherwise the search
+    starts at the eigenvector of largest |eigenvalue| of C's top eigenvector
+    folded into a symmetric d x d matrix, and takes at most
+    ``WITNESS_STEPS`` power steps v <- G v / |G v| with
+    G = fold(w * C psi(v)), w = 1 on the pairs (i, i) and 1/2 off them, so
+    that G_ij = E[x_i x_j <v,x>^2] and G v is a quarter of the gradient.
+    The quartic is convex, so a step never lowers it (Kolda and Mayo,
+    SIAM J. Matrix Anal. Appl. 32, 2011).  Each step is scaled by its
+    largest entry before its norm is taken, so a step cannot overflow
+    where C is finite.  The search stops at the first v whose value on C exceeds
+    the threshold.
+
+    That v is re-scored on the points as F = mean((p p) (p p)) / |v|^4,
+    p = x v, and reported only when F - margin > threshold.  With u = eps/2,
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1) and E|x|^4 = sum_ij E[x_i^2 x_j^2], the sum of
+    C's (ii, jj) entries, every error below is a multiple of u E|x|^4,
+    because E[<v,x>^4] <= |v|^4 E|x|^4:
+
+    * each |p_k - <x_k, v>| <= gamma_d |x_k| |v| and |<x_k, v>| <= |x_k| |v|,
+      so p_k^4 is within ((1 + gamma_d)^4 - 1) |x_k|^4 |v|^4, about 4 d u,
+      of <x_k, v>^4; the two squarings and the mean of n nonnegative terms
+      add n + 2 roundings, |v|^4 and the division d + 2, and the final
+      subtraction one;
+    * the solver reads the computed C, whose every entry sums n products of
+      two rounded pair features, so its quadratic form at psi(v / |v|) is
+      within gamma_{n+3} E[(sum_i |v_i x_i|)^4] / |v|^4 <= gamma_{n+3} E|x|^4
+      of the exact E[<v,x>^4] / |v|^4.
+
+    margin = eps (2 n + 6 d + 10) E|x|^4 + tiny covers the sum of both,
+    (2 n + 5 d + 8) u E|x|^4, twice over, which absorbs the rounding of
+    E|x|^4 itself; the smallest normal number ``tiny`` covers gradual
+    underflow, which moves a product by at most 2^-1075.  A reported
+    witness therefore makes the relaxation value of the computed C exceed
+    the threshold, and the solve, whose certified bound is at least that
+    value, would reject too.
+    """
+    n, d = points.shape
+    eigenvalues, eigenvectors = np.linalg.eigh(c)
+    if eigenvalues[-1] <= threshold:
+        return None
+    pi, pj = np.triu_indices(d)
+
+    def fold(w):
+        out = np.empty((d, d))
+        out[pi, pj] = w
+        out[pj, pi] = w
+        return out
+
+    values, vectors = np.linalg.eigh(fold(eigenvectors[:, -1]))
+    v = vectors[:, np.argmax(np.abs(values))]
+    half = np.where(pi == pj, 1.0, 0.5)
+    for step in range(WITNESS_STEPS + 1):
+        psi = v[pi] * v[pj]
+        moments = c @ psi
+        if psi @ moments > threshold:
+            break
+        if step == WITNESS_STEPS:
+            return None
+        step_dir = fold(half * moments) @ v
+        top = np.max(np.abs(step_dir))
+        if not top > 0.0:                   # a zero gradient: no ascent
+            return None
+        v = unit(step_dir / top)
+
+    p = points @ v
+    q = p * p
+    value = float(np.mean(q * q)) / float(v @ v) ** 2
+    squares = np.flatnonzero(pi == pj)
+    fourth = float(np.sum(c[np.ix_(squares, squares)]))
+    margin = (np.finfo(float).eps * (2 * n + 6 * d + 10) * fourth
+              + np.finfo(float).tiny)
+    if not (math.isfinite(value) and value - margin > threshold):
+        return None
+    return value, v
 
 
 def solve_relaxation(c: np.ndarray,

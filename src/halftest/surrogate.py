@@ -221,6 +221,13 @@ class PsgdConfig:
     steps (matching the per-sample gradient scale 1/sigma), sigma / 4 for
     batch gradients.  batch_size None means full-batch (deterministic
     projected gradient descent).
+
+    The default batch_size 1, projected SGD with one sample per step, is the
+    source paper's algorithm.  ``LearnerConfig`` defaults to full batch,
+    projected gradient descent on the empirical loss over S1, which is
+    deterministic.  Either way the learner keeps only iterates that pass
+    the gradient filter and the stationary-point tester, so the choice
+    changes which candidate is found, not what an accept certifies.
     """
 
     iterations: int

@@ -19,6 +19,10 @@ Five testers, all pure functions of (points, parameters):
   acceptance, approximate stationarity of the surrogate loss at w forces
   +-w to be angularly close to the empirical risk minimizer.
 
+The hypercontractivity certificate rejects with a checked witness
+direction when one is found before the SOS solve, and otherwise with the
+solve's certified bound (``hypercontractivity_test``).
+
 Each tester takes the margins |<w, x>| once and projects its slab onto the
 complement of w once; the narrower strips are row subsets of that
 projection.  A reject names the stage that failed in ``rejected_by``:
@@ -47,7 +51,10 @@ from .errors import NonFiniteError, PreconditionError
 from .numerics import (check_finite, is_unit, min_eigenvalue, operator_norm,
                        project_orthogonal)
 from .sdp import CERTIFIED, OPTIMAL
-from .sos_hyper import empirical_fourth_moment_tensor, solve_relaxation
+from .sos_hyper import (empirical_fourth_moment_tensor, fourth_moment_witness,
+                        solve_relaxation)
+
+WITNESS = "witness"  # stop_reason of a reject settled by a checked direction
 
 
 @dataclass
@@ -162,16 +169,25 @@ def hypercontractivity_test(points, gamma: float,
     fourth moment that is <= c_hyper - 1.
 
     Like E[<v,x>^4] <= c_hyper gamma^4, the test is unchanged when x and
-    gamma are scaled together; ``threshold``, ``sdp_value`` and ``slack``
-    are in units of gamma^4.  The certificate covers the rounded x / gamma,
-    which is exact when gamma is a power of two and no entry underflows.
-    The solve stops at the first certifying iterate (status ``certified``);
-    otherwise it runs on like an unthresholded solve and rejects.  The iterates do not depend on the
-    threshold, so an accept stays an accept as c_hyper grows.  Diagnostics:
-    ``stop_reason`` (the SDP status, or the type of a numerical error),
-    ``iterations``, ``lambda_min_s`` (the lowered lambda_min of the dual
-    slack behind the best bound), and for a certified or optimal solve
-    ``sdp_value`` (the certified upper bound on the relaxation value) and
+    gamma are scaled together; ``threshold``, ``sdp_value``, ``slack`` and
+    ``witness_value`` are in units of gamma^4.  The certificate covers the
+    rounded x / gamma, which is exact when gamma is a power of two and no
+    entry underflows.
+
+    Before any solve the test looks for a witness (``fourth_moment_witness``):
+    a direction whose fourth moment exceeds the threshold by more than its
+    rounding margin.  It proves that no bound could certify the sample, so
+    the test rejects at once with ``stop_reason`` ``witness``, the checked
+    ``witness_value`` and the ``witness_direction`` v (E[<v,x/gamma>^4] /
+    |v|^4 = witness_value); the verdict is the one the solve would give.
+    Otherwise the solve stops at the first certifying iterate (status
+    ``certified``), or runs on like an unthresholded solve and rejects.  The
+    iterates do not depend on the threshold, so an accept stays an accept
+    as c_hyper grows.  A solved verdict records ``stop_reason`` (the SDP
+    status, or the type of a numerical error), ``iterations``,
+    ``lambda_min_s`` (the lowered lambda_min of the dual slack behind the
+    best bound), and for a certified or optimal solve ``sdp_value`` (the
+    certified upper bound on the relaxation value) and
     ``slack = threshold - sdp_value``, which is >= 0 exactly when the test
     accepts.
     """
@@ -183,7 +199,14 @@ def hypercontractivity_test(points, gamma: float,
     threshold = c_hyper - 1.0
     diag = {"threshold": threshold, "n": pts.shape[0]}
     try:
-        moments = empirical_fourth_moment_tensor(pts / gamma)
+        x = pts / gamma
+        moments = check_finite(empirical_fourth_moment_tensor(x))
+        witness = fourth_moment_witness(x, moments, threshold)
+        if witness is not None:
+            value, v = witness
+            diag.update(stop_reason=WITNESS, witness_value=value,
+                        witness_direction=v.tolist())
+            return TesterVerdict(accepted=False, diagnostics=diag)
         value, sol = solve_relaxation(moments, threshold=threshold)
     except (np.linalg.LinAlgError, NonFiniteError) as exc:
         diag["stop_reason"] = type(exc).__name__

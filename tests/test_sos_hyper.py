@@ -9,8 +9,10 @@ from halftest.distributions import MarginalSpec, sample_marginal
 from halftest.errors import NonFiniteError, PreconditionError
 from halftest.oracle import brute_force_max_fourth_moment, fourth_moment_tensor
 from halftest.sdp import MAX_ITERATIONS, SdpSolution, _dual_bound, solve_sdp
+from halftest import sos_hyper
 from halftest.sos_hyper import (build_degree4_relaxation,
-                                empirical_fourth_moment_tensor, solve_relaxation)
+                                empirical_fourth_moment_tensor,
+                                fourth_moment_witness, solve_relaxation)
 from halftest.testers import hypercontractivity_test
 
 
@@ -49,6 +51,18 @@ def test_tensor_gaussian_moments():
     c = empirical_fourth_moment_tensor(pts)
     assert abs(_entry(c, 0, 0, 0, 0) - 3.0) < 0.15
     assert abs(_entry(c, 0, 0, 1, 1) - 1.0) < 0.1
+
+
+def test_tensor_matches_the_dense_oracle_tensor():
+    # the oracle forms E[x_i x_j x_k x_l] from the (n, d^2) products x_i x_j
+    # independently of the feature-major pair fill
+    for d in range(1, 9):
+        pts = sample_marginal(MarginalSpec("student_t", d, nu=5), 300, seed=40 + d)
+        c = empirical_fourth_moment_tensor(pts)
+        dense = fourth_moment_tensor(pts)
+        for i, j, k, l in itertools.product(range(d), repeat=4):
+            assert _entry(c, i, j, k, l) == pytest.approx(dense[i, j, k, l],
+                                                          rel=1e-13, abs=0.0)
 
 
 def test_tensor_permutation_symmetry():
@@ -107,6 +121,18 @@ def test_rows_match_a_loop_over_gram_positions():
         prob = build_degree4_relaxation(np.eye(n))
         assert np.array_equal(prob.constraints, expected)
         assert np.array_equal(prob.b, [1.0] + [0.0] * (len(expected) - 1))
+
+
+def test_constraint_stack_is_built_once_per_dimension():
+    first = build_degree4_relaxation(np.eye(21))
+    second = build_degree4_relaxation(2.0 * np.eye(21))
+    assert first.constraints is second.constraints and first.b is second.b
+    assert not first.constraints.flags.writeable
+    with pytest.raises(ValueError):
+        first.constraints[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        first.b[0] = 2.0
+    assert first.constraints[0, 0, 0] == 1.0 and first.b[0] == 1.0
 
 
 def test_relaxation_rejects_malformed_c():
@@ -266,7 +292,8 @@ def test_hypercontractivity_spike_rejects():
     spiked[:100, 0] = 10.0
     verdict = hypercontractivity_test(spiked, gamma=1.0, c_hyper=10.0)
     assert not verdict.accepted
-    assert verdict.diagnostics["sdp_value"] > 9.0
+    assert verdict.diagnostics["stop_reason"] == "witness"
+    assert verdict.diagnostics["witness_value"] > 9.0
 
 
 @pytest.mark.parametrize("seed", [15, 16])
@@ -369,17 +396,80 @@ def test_hypercontractivity_parameters_must_be_finite_and_positive(bad):
 
 def test_rescaled_gaussian_reject_is_optimal():
     # at 1e20 times the sample, gamma = 1, the solve runs to optimality and
-    # its value is 1e80 times the unscaled maximum fourth moment
+    # its value is 1e80 times the unscaled maximum fourth moment; the tester
+    # settles the same reject with a witness and no solve
     pts = sample_marginal(MarginalSpec("standard_gaussian", 4), 5000, seed=0)
     brute, _ = brute_force_max_fourth_moment(pts)
+    value, sol = solve_relaxation(empirical_fourth_moment_tensor(pts * 1e20))
+    assert sol.optimal
+    assert value >= 1e80 * brute * (1.0 - 1e-9)
     verdict = hypercontractivity_test(pts * 1e20, 1.0, 10.0)
     assert not verdict.accepted
-    assert verdict.diagnostics["stop_reason"] == "optimal"
-    assert verdict.diagnostics["sdp_value"] >= 1e80 * brute * (1.0 - 1e-9)
+    assert verdict.diagnostics["stop_reason"] == "witness"
+    assert 9.0 < verdict.diagnostics["witness_value"] <= value
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e60])
+def test_rescaled_gaussian_is_a_witness_reject_without_floating_point_errors(scale):
+    # x scaled alone: the witness is E[<v,x>^4] of x, about 3.3 scale^4, and
+    # no step of the test overflows (x 1e80 overflows C itself, a
+    # NonFiniteError reject in test_hypercontractivity_overflow_rejects)
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 4), 5000, seed=0)
+    with np.errstate(all="raise"):
+        verdict = hypercontractivity_test(pts * scale, 1.0, 10.0)
+    diag = verdict.diagnostics
+    assert not verdict.accepted and diag["stop_reason"] == "witness"
+    v = np.array(diag["witness_direction"])
+    expected = np.mean((pts @ v) ** 4) / np.linalg.norm(v) ** 4 * scale**4
+    assert diag["witness_value"] == pytest.approx(expected, rel=1e-12)
+    assert "sdp_value" not in diag and "iterations" not in diag
+
+
+def test_no_witness_search_below_the_top_eigenvalue(monkeypatch):
+    # lambda_max(C) <= threshold rules a witness out: no power step is taken
+    # and the tester solves
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 10_000, seed=27)
+    c = empirical_fourth_moment_tensor(pts)
+    top = np.linalg.eigvalsh(c)[-1]
+    assert top < 9.0
+
+    def no_step(v):
+        raise AssertionError("power step taken")
+    monkeypatch.setattr(sos_hyper, "unit", no_step)
+    assert fourth_moment_witness(pts, c, top) is None
+    verdict = hypercontractivity_test(pts, 1.0, 10.0)
+    assert verdict.accepted and verdict.diagnostics["stop_reason"] == "certified"
+
+
+def test_witness_clears_the_threshold_by_its_rounding_margin():
+    # the margin of fourth_moment_witness's docstring, restated: a threshold
+    # inside it leaves the same direction unreported, one below it does not
+    pts = _spiked(35)
+    n, d = pts.shape
+    c = empirical_fourth_moment_tensor(pts)
+    value, v = fourth_moment_witness(pts, c, 9.0)
+    squares = [i * d - i * (i - 1) // 2 for i in range(d)]
+    fourth = np.sum(c[np.ix_(squares, squares)])
+    margin = np.finfo(float).eps * (2 * n + 6 * d + 10) * fourth
+    assert fourth_moment_witness(pts, c, value - 0.5 * margin) is None
+    again, same = fourth_moment_witness(pts, c, value - 2.0 * margin)
+    assert again == value and np.array_equal(same, v)
+
+
+def test_witness_power_steps_climb_past_the_start(monkeypatch):
+    # on this sample the folded start scores below 6 and two power steps on
+    # C find a direction above it; the relaxation value is about 7.08
+    pts = sample_marginal(MarginalSpec("product_laplace", 4), 5_000, seed=37)
+    c = empirical_fourth_moment_tensor(pts)
+    value, _ = fourth_moment_witness(pts, c, 6.0)
+    assert 6.0 < value <= solve_relaxation(c)[0]
+    monkeypatch.setattr(sos_hyper, "WITNESS_STEPS", 0)
+    assert fourth_moment_witness(pts, c, 6.0) is None
 
 
 def _criterion_05_06_samples():
-    """Seed 0 of every criterion 05 cell and the first two of criterion 06."""
+    """Seed 0 of every criterion 05 cell, the first two of criterion 06 and
+    a Student-t nu=3 d=6 sample."""
     for kind in ("standard_gaussian", "product_laplace", "uniform_cube"):
         for d in (2, 3, 4, 5):
             n = min(int((2 * d * math.log(16 * d)) ** 4), 100_000)
@@ -392,23 +482,34 @@ def _criterion_05_06_samples():
         pts[mask] = 0.0
         pts[mask, 0] = np.where(gen.random(int(mask.sum())) < 0.5, 10.0, -10.0)
         yield pts
+    yield sample_marginal(MarginalSpec("student_t", 6, nu=3), 20_000, seed=0)
 
 
 def test_sdp_value_is_the_certified_bound_on_every_verdict():
+    # a solved verdict reports the certified bound it rests on; a witness
+    # is a lower bound on the relaxation value, so it never exceeds the
+    # certified optimum
     verdicts = {True: 0, False: 0}
+    witnesses = 0
     for pts in _criterion_05_06_samples():
+        value, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
+        assert sol.optimal and value == sol.bound
         # c_hyper 3 puts some completeness samples on the reject side
         for c_hyper in (3.0, 10.0):
             verdict = hypercontractivity_test(pts, 1.0, c_hyper)
             diag = verdict.diagnostics
-            assert verdict.accepted == (diag["slack"] >= 0)
-            assert diag["slack"] == diag["threshold"] - diag["sdp_value"]
+            if diag["stop_reason"] == "witness":
+                assert not verdict.accepted
+                assert diag["threshold"] < diag["witness_value"] <= value
+                witnesses += 1
+            else:
+                assert verdict.accepted == (diag["slack"] >= 0)
+                assert diag["slack"] == diag["threshold"] - diag["sdp_value"]
             verdicts[verdict.accepted] += 1
-        value, sol = solve_relaxation(empirical_fourth_moment_tensor(pts))
-        assert sol.optimal and value == sol.bound
         brute, _ = brute_force_max_fourth_moment(pts, mode="ascent")
         assert value >= brute
     assert min(verdicts.values()) >= 10, verdicts
+    assert witnesses >= 10
 
 
 def _spiked(seed):
