@@ -9,12 +9,14 @@ are arrays with ``abs(norm - 1) <= UNIT_TOL``.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteError
 
 UNIT_TOL = 1e-12
+STALL_RTOL = 16 * np.finfo(float).eps  # a rise within rounding: stalled
 
 
 def check_finite(arr: np.ndarray) -> np.ndarray:
@@ -60,6 +62,33 @@ def operator_norm(m: np.ndarray) -> float:
 
 def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(m))[0])
+
+
+def fourth_moment_ascent(contract: Callable[[np.ndarray], np.ndarray],
+                         starts: np.ndarray, steps: int,
+                         target: float = math.inf) -> tuple[float, np.ndarray]:
+    """(value, v): the best <T(v,v,v,.), v> that power steps from the unit
+    rows of ``starts`` reach, and the row that reaches it; ``contract`` maps
+    a (k, d) block to T(v,v,v,.) of each row.  Each step is scaled by its
+    largest entry before its norm, and a zero step stays.  Power steps never
+    lower a convex quartic (Kofidis and Regalia, SIAM J. Matrix Anal. Appl.
+    23, 2002), so the ascent stops at the first value above ``target``,
+    after ``steps`` steps, or once the best value rises by at most
+    STALL_RTOL of itself.
+    """
+    v = np.array(starts, dtype=float)
+    value, direction = -math.inf, None
+    for step in range(steps + 1):
+        g = contract(v)
+        values = (g * v).sum(axis=1)
+        rise = values.max() - value
+        if rise > 0.0:
+            value, direction = float(values.max()), v[values.argmax()].copy()
+        if value > target or rise <= STALL_RTOL * value or step == steps:
+            return value, direction
+        top = np.abs(g).max(axis=1, keepdims=True)
+        np.divide(g, top, out=v, where=top > 0.0)   # a zero step keeps v
+        v /= np.sqrt((v * v).sum(axis=1, keepdims=True))
 
 
 def householder_basis(w: np.ndarray) -> np.ndarray:

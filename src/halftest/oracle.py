@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths they check: the fourth-moment
 maximizer scores every candidate direction on its own dense moment tensor
-(a sphere grid at d <= 4, then tensor power ascent from all starts in one
-array), so its memory does not depend on the sample size; gradients come
+(a sphere grid at d <= 4, then power ascent from all starts until it
+stalls), so its memory does not depend on the sample size; gradients come
 from central finite differences in a tangent basis, ERM is an exhaustive
 sweep at d <= 2 (pair normals at d = 3, random search above), and the
 surrogate-loss structural inequality is evaluated from first principles
@@ -29,7 +29,8 @@ import numpy as np
 from . import rng
 from .distributions import Dataset, NoiseModel, sign_pm1
 from .errors import DegenerateAngleError, DimTooLargeError
-from .numerics import check_finite, householder_basis, unit
+from .numerics import (check_finite, fourth_moment_ascent, householder_basis,
+                       unit)
 from .surrogate import (RAMP_DERIV_BOUND, RampParams, smooth_ramp_derivative,
                         surrogate_gradient)
 
@@ -37,7 +38,7 @@ GRID_RESOLUTION = 0.01
 COARSE_RESOLUTION_D4 = 0.15
 POWER_RESTARTS = 64
 GRID_STARTS = 32
-POWER_STEPS = 200
+MAX_POWER_STEPS = 10_000  # a cap: near-isotropic samples stall after ~700
 PAIR_BUDGET = 100_000
 ERM_BLOCK = 1 << 22  # candidate scores per block: 32 MB of float64
 
@@ -47,14 +48,6 @@ def fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
     n, d = points.shape
     q = (points[:, :, None] * points[:, None, :]).reshape(n, d * d)
     return (q.T @ q / n).reshape((d,) * 4)
-
-
-def _contract(flat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T(v, v, v, .) for each row of the (k, d) array v, where flat is the
-    dense tensor T reshaped to (d * d, d * d)."""
-    k, d = v.shape
-    vv = (v[:, :, None] * v[:, None, :]).reshape(k, d * d)
-    return np.einsum("kij,kj->ki", (vv @ flat).reshape(k, d, d), v)
 
 
 def _sphere_grid(dim: int) -> np.ndarray:
@@ -94,42 +87,33 @@ def brute_force_max_fourth_moment(points: np.ndarray, mode: str = "auto",
     Every direction is scored on the dense tensor T = E_S[x x x x] as
     <T(v, v, v, .), v>, so memory does not grow with the sample size.  The
     starts are the GRID_STARTS best points of a sphere grid (grid mode,
-    d <= 4), POWER_RESTARTS random directions and the coordinate axes.  All
-    of them take POWER_STEPS tensor power steps v <- T(v, v, v, .) / norm
-    together; a start whose step vanishes stays put.  The quartic is
-    convex, so no step lowers it (Kofidis and Regalia, SIAM J. Matrix Anal.
-    Appl. 23, 2002) and the result is at least the best grid score.
-    Ascent mode (any d) skips the grid: a lower bound on the maximum rather
-    than the global maximum.
+    d <= 4), POWER_RESTARTS random directions and the coordinate axes; all
+    of them ascend together (``numerics.fourth_moment_ascent``) until the
+    best value stalls, at most MAX_POWER_STEPS steps, so the result is at
+    least the best grid score.  Ascent mode (any d) skips the grid: a lower
+    bound on the maximum rather than the global maximum.
     """
     points = check_finite(points)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a nonempty (n, d) array")
     d = points.shape[1]
-    flat = check_finite(fourth_moment_tensor(points)).reshape(d * d, d * d)
     if mode not in ("auto", "grid", "ascent"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "grid" and d > 4:
-        raise DimTooLargeError("grid mode supports d <= 4")
+    use_grid = mode == "grid" or (mode == "auto" and d <= 4)
+    grid = _sphere_grid(d) if use_grid else np.empty((0, d))  # raises at d > 4
+    flat = check_finite(fourth_moment_tensor(points)).reshape(d * d, d * d)
 
-    starts = []
-    if d <= 4 and mode != "ascent":
-        grid = _sphere_grid(d)
-        scores = np.einsum("ki,ki->k", _contract(flat, grid), grid)
-        starts.append(grid[np.argsort(scores)[::-1][:GRID_STARTS]])
+    def contract(v):                        # T(v, v, v, .) for each row v
+        vv = (v[:, :, None] * v[:, None, :]).reshape(len(v), d * d)
+        return np.einsum("kij,kj->ki", (vv @ flat).reshape(-1, d, d), v)
+
+    scores = np.einsum("ki,ki->k", contract(grid), grid)
     gen = rng.stream(seed, rng.STREAM_ORACLE)
-    starts.append([rng.unit_sphere(gen, d) for _ in range(POWER_RESTARTS)])
-    starts.append(np.eye(d))
-    v = np.concatenate(starts)
+    restarts = [rng.unit_sphere(gen, d) for _ in range(POWER_RESTARTS)]
+    v = np.concatenate([grid[np.argsort(scores)[::-1][:GRID_STARTS]],
+                        restarts, np.eye(d)])
     v /= np.sqrt(np.einsum("ki,ki->k", v, v))[:, None]
-    for _ in range(POWER_STEPS):
-        g = _contract(flat, v)
-        norms = np.sqrt(np.einsum("ki,ki->k", g, g))
-        moving = norms >= 1e-300
-        v[moving] = g[moving] / norms[moving, None]
-    values = np.einsum("ki,ki->k", _contract(flat, v), v)
-    best = int(np.argmax(values))
-    return float(values[best]), v[best]
+    return fourth_moment_ascent(contract, v, MAX_POWER_STEPS)
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float],

@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .numerics import check_finite, unit
+from .numerics import check_finite, fourth_moment_ascent, unit
 from .sdp import CERTIFIED, OPTIMAL, SdpProblem, SdpSolution, solve_sdp
 
 WITNESS_STEPS = 8  # power steps a witness search may take
@@ -153,23 +153,18 @@ def fourth_moment_witness(points: np.ndarray, c: np.ndarray,
     """(value, v): a direction v whose fourth moment on the sample provably
     exceeds ``threshold``, and that moment E[<v,x>^4] / |v|^4; or None.
 
-    ``c`` is the sample's pair-moment matrix.  For unit v the matrix
-    M = psi(v) psi(v)^T is feasible for the relaxation with value
-    psi(v)^T C psi(v) = E[<v,x>^4], so a witness proves that the relaxation
-    value exceeds the threshold, and no dual bound can certify the sample.
+    ``c`` is the sample's pair-moment matrix.  For unit v, M = psi psi^T is
+    feasible for the relaxation with value psi^T C psi = E[<v,x>^4], so a
+    witness proves that no dual bound can certify the sample.
 
     Since psi^T C psi <= lambda_max(C) |psi|^2 <= lambda_max(C) for unit v,
-    there is none when lambda_max(C) <= threshold.  Otherwise the search
-    starts at the eigenvector of largest |eigenvalue| of C's top eigenvector
-    folded into a symmetric d x d matrix, and takes at most
-    ``WITNESS_STEPS`` power steps v <- G v / |G v| with
-    G = fold(w * C psi(v)), w = 1 on the pairs (i, i) and 1/2 off them, so
-    that G_ij = E[x_i x_j <v,x>^2] and G v is a quarter of the gradient.
-    The quartic is convex, so a step never lowers it (Kolda and Mayo,
-    SIAM J. Matrix Anal. Appl. 32, 2011).  Each step is scaled by its
-    largest entry before its norm is taken, so a step cannot overflow
-    where C is finite.  The search stops at the first v whose value on C exceeds
-    the threshold.
+    there is none when lambda_max(C) <= threshold.  Otherwise
+    ``numerics.fourth_moment_ascent`` takes at most ``WITNESS_STEPS`` steps
+    from the eigenvector of largest |eigenvalue| of C's top eigenvector
+    folded into a symmetric d x d matrix, with the O(D^2) contraction G v,
+    G = fold(w * C psi(v)), w = 1 on the pairs (i, i) and 1/2 off them
+    (G_ij = E[x_i x_j <v,x>^2], v^T G v = psi(v)^T C psi(v)), and stops at
+    the first v whose value on C exceeds the threshold.
 
     That v is re-scored on the points as F = mean((p p) (p p)) / |v|^4,
     p = x v, and reported only when F - margin > threshold.  With u = eps/2,
@@ -201,28 +196,19 @@ def fourth_moment_witness(points: np.ndarray, c: np.ndarray,
     if eigenvalues[-1] <= threshold:
         return None
     pi, pj = np.triu_indices(d)
-
-    def fold(w):
-        out = np.empty((d, d))
-        out[pi, pj] = w
-        out[pj, pi] = w
-        return out
-
-    values, vectors = np.linalg.eigh(fold(eigenvectors[:, -1]))
-    v = vectors[:, np.argmax(np.abs(values))]
+    fold = np.empty((d, d), dtype=int)      # w[fold]: w as a symmetric matrix
+    fold[pi, pj] = fold[pj, pi] = np.arange(len(pi))
+    values, vectors = np.linalg.eigh(eigenvectors[:, -1][fold])
+    start = unit(vectors[:, np.argmax(np.abs(values))])[None, :]
     half = np.where(pi == pj, 1.0, 0.5)
-    for step in range(WITNESS_STEPS + 1):
-        psi = v[pi] * v[pj]
-        moments = c @ psi
-        if psi @ moments > threshold:
-            break
-        if step == WITNESS_STEPS:
-            return None
-        step_dir = fold(half * moments) @ v
-        top = np.max(np.abs(step_dir))
-        if not top > 0.0:                   # a zero gradient: no ascent
-            return None
-        v = unit(step_dir / top)
+
+    def contract(v):                        # G v for each row v
+        g = (half * ((v[:, pi] * v[:, pj]) @ c))[:, fold]
+        return (g @ v[:, :, None])[:, :, 0]
+
+    value, v = fourth_moment_ascent(contract, start, WITNESS_STEPS, threshold)
+    if not value > threshold:
+        return None
 
     p = points @ v
     q = p * p
