@@ -66,8 +66,8 @@ CONFIG_KEYS = {
     "test": ("tester", "tester_config", "w", "theta", "mode", "sigma", "eta"),
     "learn": ("learner", "marginal", "noise", "dataset", "trials", "seeds",
               "seed", "out"),
-    "oracle": ("check", "seed", "sigma", "directions", "instances", "w_star",
-               "target", "offset"),
+    "oracle": ("check", "seed", "sigma", "directions", "instances", "target",
+               "offset"),
     "marginal": ("kind", "dim", "nu", "spread", "direction"),
     "noise": ("kind", "target", "eta", "profile", "width", "rule", "flip_prob"),
     "tester": ("lambda", "gamma", "c1", "c_hyper"),
@@ -128,26 +128,21 @@ def marginal_from_config(c: dict) -> MarginalSpec:
 def _target_vector(c: dict, dim: int) -> tuple:
     target = c.get("target", "e1")
     if target == "e1":
-        w = np.zeros(dim)
-        w[0] = 1.0
-        return tuple(w)
+        return tuple(np.eye(dim)[0])
     return tuple(unit(np.asarray(target, dtype=float)))
 
 
 def noise_from_config(c: dict, dim: int) -> NoiseModel:
     c = _section("noise", c)
-    return NoiseModel(
-        kind=c["kind"], target=_target_vector(c, dim),
-        eta=float(c.get("eta", 0.0)), profile=c.get("profile", "constant"),
-        width=float(c.get("width", 0.0)), rule=c.get("rule"),
-        flip_prob=float(c.get("flip_prob", 0.0)))
+    given = {key: v if key in ("profile", "rule") else float(v)
+             for key, v in c.items() if key not in ("kind", "target")}
+    return NoiseModel(kind=c["kind"], target=_target_vector(c, dim), **given)
 
 
 def tester_from_config(c: dict) -> TesterConfig:
     c = _section("tester", c)
-    return TesterConfig(
-        lam=float(c.get("lambda", 3.0)), gamma=float(c.get("gamma", 1.0)),
-        c1=float(c.get("c1", 4.0)), c_hyper=float(c.get("c_hyper", 10.0)))
+    return TesterConfig(**{"lam" if key == "lambda" else key: float(v)
+                           for key, v in c.items()})
 
 
 def psgd_from_config(c: dict) -> PsgdConfig:
@@ -159,16 +154,14 @@ def psgd_from_config(c: dict) -> PsgdConfig:
 
 
 def learner_from_config(c: dict) -> LearnerConfig:
+    # a key left out takes its dataclass default; lambda and gamma have none
     c = _section("learner", c)
+    given = {key: c[key] if key in ("noise", "eta") else int(c[key])
+             for key in ("noise", "eta", "n1", "n2", "repetitions") if key in c}
     return LearnerConfig(
         lam=float(c.get("lambda", 1.0)), gamma=float(c.get("gamma", 1.0)),
-        eps=float(c["eps"]),
-        noise=c.get("noise", "massart"),
-        eta=c.get("eta"),
-        psgd=psgd_from_config(c.get("psgd", {})),
-        tester=tester_from_config(c.get("tester", {})),
-        n1=int(c.get("n1", 100_000)), n2=int(c.get("n2", 100_000)),
-        repetitions=int(c.get("repetitions", 1)))
+        eps=float(c["eps"]), psgd=psgd_from_config(c.get("psgd", {})),
+        tester=tester_from_config(c.get("tester", {})), **given)
 
 
 def read_config(command: str, cfg) -> dict:
@@ -313,8 +306,9 @@ def cmd_learn(args) -> int:
     if not out_dir:
         raise ConfigError("learn needs an output directory (--out)")
     if args.seed is not None:
-        cfg = dict(cfg)
-        cfg["seed"] = int(args.seed)
+        if "seeds" in cfg:
+            raise ConfigError("--seed would be ignored next to a 'seeds' list")
+        cfg = dict(cfg, seed=int(args.seed))
     seeds = _trial_seeds(cfg)
     if "dataset" in cfg and len(seeds) > 1:
         # every trial would read the same first rows of the file
@@ -383,8 +377,7 @@ def _oracle_report(ds: Dataset, cfg: dict) -> dict:
     if check == "structural":
         sigma = float(cfg.get("sigma", 0.1))
         gen = rng.stream(seed, rng.STREAM_ORACLE + 4)
-        w_star = unit(np.asarray(cfg.get("w_star", _target_vector(cfg, ds.dim)),
-                                 dtype=float))
+        w_star = np.asarray(_target_vector(cfg, ds.dim))
         results = []
         for _ in range(int(cfg.get("instances", 20))):
             w = rng.unit_sphere(gen, ds.dim)

@@ -6,7 +6,7 @@ A single run executes, in order:
    sigma for Massart, a uniform cover of (0, 1/(c1 lam^c1)] for agnostic
    noise — and take the gradient-norm threshold A and each sigma's angle
    theta(sigma) from ``TesterConfig.stationary_bounds`` at the grid's
-   (lambda, gamma); draw S1 and a fresh S2;
+   (lambda, gamma), up to the first sigma a tester refuses; draw S1 and S2;
 2. for each sigma in ascending order:
 
    a. run projected SGD on the surrogate loss over S1; its iterates are
@@ -28,13 +28,13 @@ reject pays for.  Testing each survivor as soon as it is found stops a
 reject at the first sigma that fails, and the trace's ``per_sigma`` then
 ends at that sigma.
 
-The sigma grid is pruned up front to the widths the testers can actually
-certify (sigma <= 1/(2 lam_tester) and 0 < theta(sigma) <= pi/4, the very
-theta the disagreement tester is later given); the asymptotic worst-case
-constants would otherwise demand slab widths that no finite sample
-populates.  Tester thresholds may be calibrated at a different niceness
-level than the grid arithmetic, which is why the tester carries its own
-lambda.
+The grid is cut, before any draw, to the sigmas the testers certify
+(sigma <= 1/(2 lam_tester), 0 < theta(sigma) <= pi/4 with the very theta
+the disagreement tester is later given), a prefix since both grow with
+sigma; a run with none rejects (``empty_sigma_grid``).  The worst-case
+constants would otherwise demand slab widths no finite sample populates.
+Tester thresholds may be calibrated at a different niceness level than
+the grid arithmetic, which is why the tester carries its own lambda.
 
 PSGD inside the learner starts from the label-weighted mean direction
 normalize(sum_i y_i x_i).  Besides being a strong initializer, it makes
@@ -54,6 +54,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Optional, Protocol
 
 import numpy as np
@@ -63,7 +64,8 @@ from .distributions import (Dataset, MarginalSpec, NoiseModel, empirical_error,
                             label_dataset, sample_marginal)
 from .errors import InsufficientSamplesError
 from .surrogate import PsgdConfig, RampParams, gradient_norms, psgd
-from .testers import TesterConfig, local_disagreement_test, stationary_point_test
+from .testers import (MAX_THETA, TesterConfig, local_disagreement_test,
+                      stationary_point_test)
 
 
 @dataclass(frozen=True)
@@ -88,24 +90,17 @@ class LearnerConfig:
     repetitions: int = 1
 
     def __post_init__(self):
-        values = (self.lam, self.gamma, self.eps,
-                  0.0 if self.eta is None else self.eta)
-        if not all(map(math.isfinite, values)):
-            raise ValueError("lam, gamma, eps and eta must be finite")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.lam < 1.0:
-            raise ValueError("lam must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if not (0.0 < self.eps < math.inf and math.isfinite(self.eta or 0.0)):
+            raise ValueError("eps must be positive and finite, eta finite")
         if self.noise not in ("massart", "agnostic"):
             raise ValueError("noise must be 'massart' or 'agnostic'")
         if self.noise == "massart":
             if self.eta is None or not 0.0 <= self.eta < 0.5:
                 raise ValueError("massart requires eta in [0, 1/2)")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        self.grid_tester()  # a ValueError here fails before any sampling
+        if any(isinstance(v, bool) or not isinstance(v, Integral) or v < 1
+               for v in (self.n1, self.n2, self.repetitions)):
+            raise ValueError("n1, n2 and repetitions must be integers >= 1")
+        self.grid_tester()  # checks lam and gamma before any sampling
 
     def grid_tester(self) -> TesterConfig:
         """The tester's constants at the grid's (lam, gamma)."""
@@ -204,20 +199,16 @@ def equivariant_init(ds: Dataset) -> np.ndarray:
 def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
                 rep: int) -> LearnerOutcome:
     start = time.perf_counter()
-    base_stream = rng.STREAM_LEARNER + 10 * rep
-    s1 = source.draw(cfg.n1, stream_id=base_stream)
-    s2 = source.draw(cfg.n2, stream_id=base_stream + 2)
-
     grid_cfg = cfg.grid_tester()
     eta_arg = cfg.eta if cfg.noise == "massart" else None
-    sigmas = make_sigma_grid(cfg)
-    bounds = [grid_cfg.stationary_bounds(s, eta_arg) for s in sigmas]
-    a_threshold = bounds[0][0]  # A does not depend on sigma
-    runnable = [(s, theta) for s, (_, theta) in zip(sigmas, bounds)
-                if s <= 1.0 / (2.0 * cfg.tester.lam)
-                and 0.0 < theta <= math.pi / 4.0]
-    trace = {"sigma_grid": list(sigmas),
-             "sigma_runnable": [s for s, _ in runnable],
+    runnable = []  # a prefix of the grid: sigma and theta grow along it
+    for sigma in make_sigma_grid(cfg):
+        a_threshold, theta = grid_cfg.stationary_bounds(sigma, eta_arg)
+        if sigma > cfg.tester.max_sigma or not 0.0 < theta <= MAX_THETA:
+            break
+        runnable.append((sigma, theta))
+    # A does not depend on sigma
+    trace = {"sigma_runnable": [s for s, _ in runnable],
              "gradient_threshold": a_threshold, "per_sigma": {}}
 
     def reject(stage: str) -> LearnerOutcome:
@@ -226,6 +217,9 @@ def _single_run(source: SampleSource, cfg: LearnerConfig, seed: int,
 
     if not runnable:
         return reject("empty_sigma_grid")
+    base_stream = rng.STREAM_LEARNER + 10 * rep
+    s1 = source.draw(cfg.n1, stream_id=base_stream)
+    s2 = source.draw(cfg.n2, stream_id=base_stream + 2)
 
     w0 = equivariant_init(s1)
     survivors = []  # (sigma, w)

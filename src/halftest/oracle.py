@@ -21,6 +21,7 @@ conditional label expectation).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional
 
@@ -50,15 +51,16 @@ def fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
     return (q.T @ q / n).reshape((d,) * 4)
 
 
+@functools.lru_cache(maxsize=4)
 def _sphere_grid(dim: int) -> np.ndarray:
-    """Angular grid over half the sphere (the quartic is even)."""
+    """Read-only angular grid over half the sphere (the quartic is even)."""
     res = GRID_RESOLUTION
     if dim == 1:
-        return np.array([[1.0]])
-    if dim == 2:
+        grid = np.array([[1.0]])
+    elif dim == 2:
         angles = np.arange(0.0, math.pi, res)
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    if dim == 3:
+        grid = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    elif dim == 3:
         thetas = np.arange(0.0, math.pi + res, res)
         points = []
         for th in thetas:
@@ -67,17 +69,20 @@ def _sphere_grid(dim: int) -> np.ndarray:
             points.append(np.stack([np.sin(th) * np.cos(phis),
                                     np.sin(th) * np.sin(phis),
                                     np.full(ring, math.cos(th))], axis=1))
-        return np.concatenate(points)
-    if dim == 4:
+        grid = np.concatenate(points)
+    elif dim == 4:
         step = COARSE_RESOLUTION_D4
         half = np.arange(0.0, math.pi + step, step)
         t1, t2, t3 = (a.ravel() for a in np.meshgrid(
             half, half, np.arange(0.0, 2.0 * math.pi, step), indexing="ij"))
-        return np.stack([np.cos(t1),
+        grid = np.stack([np.cos(t1),
                          np.sin(t1) * np.cos(t2),
                          np.sin(t1) * np.sin(t2) * np.cos(t3),
                          np.sin(t1) * np.sin(t2) * np.sin(t3)], axis=1)
-    raise DimTooLargeError("grid mode supports d <= 4")
+    else:
+        raise DimTooLargeError("grid mode supports d <= 4")
+    grid.flags.writeable = False
+    return grid
 
 
 def brute_force_max_fourth_moment(points: np.ndarray, mode: str = "auto",

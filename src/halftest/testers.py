@@ -55,6 +55,7 @@ from .sos_hyper import (empirical_fourth_moment_tensor, fourth_moment_witness,
                         solve_relaxation)
 
 WITNESS = "witness"  # stop_reason of a reject settled by a checked direction
+MAX_THETA = math.pi / 4.0  # the widest angle local_disagreement_test takes
 
 
 @dataclass
@@ -98,12 +99,17 @@ class TesterConfig:
         if self.c1 <= 0 or self.c_hyper <= 0:
             raise ValueError("constants must be positive")
         try:  # a float ** that overflows, or a / 0, raises instead of inf
-            bounds = self.stationary_bounds(1.0 / (2.0 * self.lam), None)
+            bounds = self.stationary_bounds(self.max_sigma, None)
         except ArithmeticError:
             bounds = (math.inf,)
         if not all(0.0 < b < math.inf for b in bounds):
             raise ValueError("c1 lam^c1 and gamma^4 must give finite, positive "
                              "stationary bounds")
+
+    @property
+    def max_sigma(self) -> float:
+        """The widest slab the stationary and anti-concentration tests take."""
+        return 1.0 / (2.0 * self.lam)
 
     @property
     def strip_constant(self) -> float:
@@ -234,7 +240,7 @@ def local_disagreement_test(points, w: np.ndarray, theta: float,
     |<w,x>| in [(i-1) theta, i theta) with weight 1/(i-1)^2, and points
     below theta carry no weight (the strip stage covers them).
     """
-    if not 0.0 < theta <= math.pi / 4.0:
+    if not 0.0 < theta <= MAX_THETA:
         raise PreconditionError("theta must lie in (0, pi/4]")
     pts = _as_points(points)
     w = _require_unit(w)
@@ -265,7 +271,7 @@ def weak_anticoncentration_test(points, w: np.ndarray, sigma: float,
     Pr[|<v,x>| >= 1/(c1 lam^c1) | |<w,x>| <= sigma] >= 1/(c1 lam^c1 gamma^4)."""
     pts = _as_points(points)
     w = _require_unit(w)
-    if not 0.0 < sigma <= 1.0 / (2.0 * cfg.lam):
+    if not 0.0 < sigma <= cfg.max_sigma:
         raise PreconditionError("sigma must lie in (0, 1/(2 lam)]")
     if pts.shape[1] < 2:
         raise PreconditionError("need ambient dimension >= 2")
@@ -313,7 +319,7 @@ def stationary_point_test(data, w: np.ndarray, sigma: float,
     """
     pts = _as_points(data)
     w = _require_unit(w)
-    if not 0.0 < sigma <= 1.0 / (2.0 * cfg.lam):
+    if not 0.0 < sigma <= cfg.max_sigma:
         raise PreconditionError("sigma must lie in (0, 1/(2 lam)]")
     if pts.shape[1] < 2:
         raise PreconditionError("need ambient dimension >= 2")

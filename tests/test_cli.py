@@ -10,7 +10,9 @@ import pytest
 
 from halftest import cli
 from halftest.cli import main
-from halftest.distributions import load_dataset
+from halftest.distributions import NoiseModel, load_dataset
+from halftest.learner import LearnerConfig
+from halftest.testers import TesterConfig
 
 
 def write_config(tmp_path, name, payload):
@@ -532,11 +534,30 @@ def test_sample_impossible_noise_is_a_config_error(tmp_path, capsys, noise):
 def test_oracle_structural_check(tmp_path, gauss_csv, capsys):
     cfg = write_config(tmp_path, "o.json", {
         "check": "structural", "sigma": 0.1, "instances": 3,
-        "w_star": [1, 0, 0], "seed": 2})
+        "target": [1, 0, 0], "seed": 2})
     assert main(["oracle", gauss_csv, "--config", cfg]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["check"] == "structural" and report["pass"] is True
     assert 1 <= report["instances"] <= 3 and report["violations"] == 0
+
+
+def test_oracle_w_star_is_an_unknown_key(tmp_path, gauss_csv, capsys):
+    cfg = write_config(tmp_path, "o.json", {
+        "check": "structural", "w_star": [0, 1, 0]})
+    assert main(["oracle", gauss_csv, "--config", cfg]) == 2
+    assert "'w_star'" in capsys.readouterr().err
+
+
+def test_oracle_structural_check_reads_its_target(tmp_path, gauss_csv, capsys):
+    # the report that "w_star": [0, 1, 0] gave before "target" became the
+    # only key for it; the default e1 gives 11 instances here
+    cfg = write_config(tmp_path, "o.json", {
+        "check": "structural", "sigma": 0.1, "instances": 20,
+        "target": [0, 1, 0], "seed": 0})
+    assert main(["oracle", gauss_csv, "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["instances"], report["violations"], report["pass"]) == \
+        (6, 0, True)
 
 
 def test_anticoncentration_tester(tmp_path, gauss_csv, capsys):
@@ -569,6 +590,25 @@ def test_learn_seed_option_overrides_the_config(tmp_path):
     out = str(tmp_path / "o")
     assert main(["learn", "--config", cfg, "--out", out, "--seed", "20"]) == 0
     assert _trial_seeds_of(out, 2) == [20, 21]
+
+
+def test_learn_seed_option_next_to_a_seeds_list_is_a_config_error(tmp_path,
+                                                                   capsys):
+    # the seeds list would silently win over the option
+    cfg = write_config(tmp_path, "l.json",
+                       dict(LEARN_CFG, trials=2, seeds=[11, 4]))
+    out = tmp_path / "o"
+    assert main(["learn", "--config", cfg, "--out", str(out), "--seed", "20"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_config_sections_default_to_the_dataclasses():
+    assert cli.tester_from_config({}) == TesterConfig()
+    assert cli.noise_from_config({"kind": "clean"}, 3) == \
+        NoiseModel("clean", (1.0, 0.0, 0.0))
+    assert cli.learner_from_config({"eps": 0.1, "eta": 0.1}) == \
+        LearnerConfig(lam=1.0, gamma=1.0, eps=0.1, eta=0.1)
 
 
 def test_sample_with_an_explicit_target(tmp_path):

@@ -47,7 +47,9 @@ def boundary_flip_source(kind, seed, **kwargs):
     ("lam", math.nan), ("lam", math.inf), ("gamma", math.nan),
     ("gamma", math.inf), ("gamma", 0.0), ("gamma", -1.0), ("eps", math.nan),
     ("eps", math.inf), ("eta", math.nan), ("eta", math.inf),
-    ("gamma", 1e80), ("gamma", 1e-100)])
+    ("gamma", 1e80), ("gamma", 1e-100),
+    ("n1", 0), ("n1", -5), ("n1", 2.5), ("n1", True), ("n2", 0),
+    ("n2", 2.5), ("n2", True), ("repetitions", 1.5), ("repetitions", True)])
 def test_learner_config_rejects_bad_numbers(name, value):
     with pytest.raises(ValueError):
         dataclasses.replace(agnostic_config(), **{name: value})
@@ -107,17 +109,19 @@ def test_sigma_grid_cover_property():
 
 def test_runnable_sigmas_respect_preconditions():
     # a runnable sigma meets the stationary tester's sigma <= 1/(2 lam) and
-    # the disagreement tester's 0 < theta <= pi/4 at the certified theta
+    # the disagreement tester's 0 < theta <= pi/4 at the certified theta,
+    # and the runnable sigmas are a prefix of the grid
     cfg = dataclasses.replace(agnostic_config(iterations=5), n1=500, n2=500)
     out = universal_tester_learner(boundary_flip_source("standard_gaussian", 1),
                                    cfg, seed=1)
-    grid = out.trace["sigma_grid"]
-    assert grid == list(make_sigma_grid(cfg))
+    grid = list(make_sigma_grid(cfg))
     expected = [s for s in grid if s <= 1.0 / (2.0 * cfg.tester.lam)
                 and 0.0 < cfg.grid_tester().stationary_bounds(s, None)[1]
                 <= math.pi / 4.0]
     assert 0 < len(expected) < len(grid)
+    assert expected == grid[:len(expected)]
     assert out.trace["sigma_runnable"] == expected
+    assert "sigma_grid" not in out.trace
 
 
 def test_theta_at_the_pi_over_4_edge_reaches_a_verdict(monkeypatch):
@@ -399,18 +403,30 @@ def test_disagreement_reject_at_a_later_sigma(monkeypatch):
 
 
 def test_no_runnable_sigma_rejects_before_psgd(monkeypatch):
-    # a tester lambda of 1e6 caps sigma at 5e-7, below the whole grid
+    # a tester lambda of 1e6 caps sigma at 5e-7, below the whole grid, so
+    # the run rejects before it draws a sample
     def must_not_run(*args, **kwargs):
         raise AssertionError("PSGD ran without a runnable sigma")
 
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("drew samples without a runnable sigma")
+
     monkeypatch.setattr(learner, "psgd", must_not_run)
+    monkeypatch.setattr(SyntheticSource, "draw", must_not_draw)
     cfg = dataclasses.replace(agnostic_config(), n1=100, n2=100,
                               tester=TesterConfig(lam=1e6, c1=3.0))
     out = universal_tester_learner(boundary_flip_source("standard_gaussian", 1),
                                    cfg, seed=1)
     assert not out.accepted and out.stage == "empty_sigma_grid"
-    assert out.trace["sigma_grid"] and out.trace["sigma_runnable"] == []
-    assert out.trace["per_sigma"] == {}
+    assert out.trace["sigma_runnable"] == [] and out.trace["per_sigma"] == {}
+    assert out.trace["gradient_threshold"] == \
+        cfg.grid_tester().stationary_bounds(make_sigma_grid(cfg)[0], None)[0]
+
+    out = universal_tester_learner(boundary_flip_source("standard_gaussian", 1),
+                                   dataclasses.replace(cfg, repetitions=3), seed=1)
+    assert out.stage == "repetition_majority"
+    assert [rep["stage"] for rep in out.trace["per_repetition"]] == \
+        ["empty_sigma_grid"] * 3
 
 
 def test_repetition_majority_reject():

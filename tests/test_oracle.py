@@ -79,6 +79,15 @@ def test_brute_force_grid_memory_does_not_grow_with_n():
     assert abs(grid_val - ascent_val) <= 1e-9 * grid_val
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sphere_grid_is_built_once_per_dimension(dim):
+    grid = oracle._sphere_grid(dim)
+    assert oracle._sphere_grid(dim) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 2.0
+
+
 def test_brute_force_overflowing_tensor_raises():
     pts = np.array([[1e80, 0.0], [0.0, -1e80]])
     with np.errstate(over="ignore", invalid="ignore"), \
