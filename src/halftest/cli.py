@@ -148,7 +148,7 @@ def tester_from_config(c: dict) -> TesterConfig:
 def psgd_from_config(c: dict) -> PsgdConfig:
     # no seed: the learner seeds every sigma's PSGD run itself
     c = _section("psgd", c)
-    return PsgdConfig(iterations=int(c.get("iterations", 400)),
+    return PsgdConfig(iterations=c.get("iterations", 400),
                       step_size=c.get("step_size"),
                       batch_size=c.get("batch_size"))
 
@@ -156,8 +156,8 @@ def psgd_from_config(c: dict) -> PsgdConfig:
 def learner_from_config(c: dict) -> LearnerConfig:
     # a key left out takes its dataclass default; lambda and gamma have none
     c = _section("learner", c)
-    given = {key: c[key] if key in ("noise", "eta") else int(c[key])
-             for key in ("noise", "eta", "n1", "n2", "repetitions") if key in c}
+    given = {key: c[key] for key in ("noise", "eta", "n1", "n2", "repetitions")
+             if key in c}
     return LearnerConfig(
         lam=float(c.get("lambda", 1.0)), gamma=float(c.get("gamma", 1.0)),
         eps=float(c["eps"]), psgd=psgd_from_config(c.get("psgd", {})),

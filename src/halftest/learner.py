@@ -9,10 +9,13 @@ A single run executes, in order:
    (lambda, gamma), up to the first sigma a tester refuses; draw S1 and S2;
 2. for each sigma in ascending order:
 
-   a. run projected SGD on the surrogate loss over S1; its iterates are
-      the sigma's candidates;
+   a. run projected SGD on the surrogate loss over S1; its T+1 iterates
+      are the sigma's candidates (full-batch PSGD stops computing at an
+      exact fixed point and repeats it, so the list is the same either way);
    b. compute each candidate's surrogate-gradient norm on S2 and keep the
-      one with the smallest norm; reject if that norm is above A;
+      first one with the smallest norm; reject if that norm is above A (a
+      repeat of the candidate before it reuses that norm, so the norms and
+      the choice are the same as scoring every candidate);
    c. run the stationary-point tester on the survivor (reject on failure);
    d. run the local-disagreement tester on the survivor at theta(sigma),
       the angle the stationary test certifies (reject on failure); one call

@@ -240,6 +240,22 @@ def test_learn_bad_config_number_is_a_config_error(tmp_path, capsys, name,
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("name", ["n1", "n2", "repetitions", "iterations"])
+def test_learn_count_that_is_not_an_integer_is_a_config_error(tmp_path, capsys,
+                                                             name, value):
+    # a count reaches the dataclass as written, never truncated by int()
+    learner = dict(LEARN_CFG["learner"])
+    if name == "iterations":
+        learner["psgd"] = dict(learner["psgd"], iterations=value)
+    else:
+        learner[name] = value
+    cfg = write_config(tmp_path, "l.json", dict(LEARN_CFG, learner=learner))
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_learn_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
     cfg = write_config(tmp_path, "l.json", LEARN_CFG)

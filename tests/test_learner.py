@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from halftest import learner
+from halftest import learner, surrogate
 from halftest.distributions import (Dataset, MarginalSpec, NoiseModel,
                                     empirical_error, label_dataset,
                                     sample_marginal)
@@ -12,9 +12,11 @@ from halftest.errors import InsufficientSamplesError
 from halftest.learner import (FixedDatasetSource, LearnerConfig,
                               SyntheticSource, equivariant_init,
                               make_sigma_grid, universal_tester_learner)
+from halftest.numerics import unit
 from halftest.surrogate import PsgdConfig, gradient_norms, psgd
 from halftest.testers import (TesterConfig, TesterVerdict,
                               local_disagreement_test)
+from test_surrogate import _dense_full_batch_psgd
 
 W_STAR5 = (1.0, 0.0, 0.0, 0.0, 0.0)
 BOUNDARY_5PCT = 0.06270677794321385  # Pr[|N(0,1)| <= w] = 0.05
@@ -322,6 +324,47 @@ def test_reject_stops_at_the_rejecting_sigma(monkeypatch, kind, kwargs,
     assert out.stage == "stationary_test"
     (info,) = out.trace["per_sigma"].values()
     assert info["stationary"]["rejected_by"] == rejected_by
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("two_point_mass", {"spread": 10.0}), ("line_mass", {})])
+def test_reject_at_a_fixed_start_takes_one_step_and_one_score(monkeypatch,
+                                                              kind, kwargs):
+    # criterion 13's start is an exact fixed point of full-batch PSGD: one
+    # gradient in PSGD and one in the filter give the outcome that taking
+    # all 150 steps and scoring all 151 iterates one by one gives
+    def run():
+        return universal_tester_learner(boundary_flip_source(kind, 1300, **kwargs),
+                                        agnostic_config(), seed=1300)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(learner, "psgd", lambda ds, p, cfg, w0: _dense_full_batch_psgd(
+            ds, p, cfg.resolved_step(p.sigma), unit(w0), cfg.iterations))
+        patch.setattr(learner, "gradient_norms", lambda ws, ds, p: np.array(
+            [gradient_norms(w[None], ds, p)[0] for w in ws]))
+        reference = run()
+
+    calls, stages = [], []
+    band_gradient = surrogate._band_gradient
+
+    def counted(*args):
+        calls.append(stages[-1])
+        return band_gradient(*args)
+
+    def staged(stage, fn):
+        def call(*args, **kw):
+            stages.append(stage)
+            return fn(*args, **kw)
+        return call
+
+    monkeypatch.setattr(surrogate, "_band_gradient", counted)
+    monkeypatch.setattr(learner, "psgd", staged("psgd", psgd))
+    monkeypatch.setattr(learner, "gradient_norms",
+                        staged("filter", gradient_norms))
+    out = run()
+    assert calls == ["psgd", "filter"]
+    assert out.stage == "stationary_test"
+    assert out.to_json() == reference.to_json()
 
 
 def test_tester_reject_precedes_a_later_gradient_filter_reject(monkeypatch):

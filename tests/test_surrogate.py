@@ -283,12 +283,28 @@ def test_band_rows_is_superset():
             assert np.isin(band, rows).all()
 
 
+def _count_band_gradients(monkeypatch):
+    calls = []
+    band_gradient = surrogate._band_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return band_gradient(*args)
+
+    monkeypatch.setattr(surrogate, "_band_gradient", counted)
+    return calls
+
+
+def _line_mass_dataset():
+    pts = sample_marginal(MarginalSpec("line_mass", 5), 20_000, seed=33)
+    return label_dataset(pts, NoiseModel("agnostic", (1.0, 0, 0, 0, 0),
+                                         rule="boundary_flip", width=0.05), seed=33)
+
+
 def test_gradient_norms_line_mass_exactly_zero():
     # on a line along e1 every tangent x - <w,x> w vanishes for w = +-e1; the
     # tangential and radial sums must cancel exactly, not to rounding level
-    pts = sample_marginal(MarginalSpec("line_mass", 5), 20_000, seed=33)
-    ds = label_dataset(pts, NoiseModel("agnostic", (1.0, 0, 0, 0, 0),
-                                       rule="boundary_flip", width=0.05), seed=33)
+    ds = _line_mass_dataset()
     e1 = np.eye(5)[0]
     p = RampParams(0.1)
     iterates = psgd(ds, p, PsgdConfig(iterations=20, batch_size=None), w0=e1)
@@ -296,16 +312,30 @@ def test_gradient_norms_line_mass_exactly_zero():
     assert np.all(gradient_norms(ws, ds, p) == 0.0)
 
 
-def test_minibatch_psgd_line_mass_stays_exactly_on_e1():
+def test_full_batch_psgd_stops_at_a_fixed_start(monkeypatch):
+    # the gradient at e1 on a line mass along e1 is exactly 0, so the first
+    # step returns e1 and the other 19 are not taken
+    calls = _count_band_gradients(monkeypatch)
+    e1 = np.eye(5)[0]
+    iterates = psgd(_line_mass_dataset(), RampParams(0.1),
+                    PsgdConfig(iterations=20, batch_size=None), w0=e1)
+    assert len(calls) == 1
+    assert len(iterates) == 21
+    assert all(w.tobytes() == e1.tobytes() for w in iterates)
+
+
+def test_minibatch_psgd_line_mass_stays_exactly_on_e1(monkeypatch):
     # every drawn batch of a line mass along e1 gives an exactly zero
-    # gradient at +-e1, so mini-batch PSGD never leaves its start
-    pts = sample_marginal(MarginalSpec("line_mass", 5), 20_000, seed=33)
-    ds = label_dataset(pts, NoiseModel("agnostic", (1.0, 0, 0, 0, 0),
-                                       rule="boundary_flip", width=0.05), seed=33)
+    # gradient at +-e1, so mini-batch PSGD never leaves its start; each step
+    # draws new rows, so it still takes all 200 steps
+    ds = _line_mass_dataset()
     p = RampParams(0.1)
+    calls = _count_band_gradients(monkeypatch)
     for w0 in (np.eye(5)[0], -np.eye(5)[0]):
+        calls.clear()
         iterates = psgd(ds, p, PsgdConfig(iterations=200, batch_size=64, seed=8),
                         w0=w0)
+        assert len(calls) == 200
         assert all(np.array_equal(w, w0) for w in iterates)
         assert np.all(gradient_norms(np.stack(iterates), ds, p) == 0.0)
 
@@ -368,6 +398,43 @@ def test_gradient_norms_rebuilds_where_psgd_did(monkeypatch):
     gradient_norms(np.stack(iterates[:-1]), ds, p)
     assert psgd_builds >= 3
     assert len(builds) == psgd_builds
+
+
+def test_full_batch_psgd_stops_at_a_fixed_point_mid_run(monkeypatch):
+    # the reference takes all 300 steps and reaches a fixed point at iterate
+    # 139; PSGD must give the same 301 iterates after 140 steps, the last of
+    # which finds the repeat
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 5), 2000, seed=30)
+    ds = label_dataset(pts, NoiseModel("massart", (1.0, 0, 0, 0, 0), eta=0.2),
+                       seed=30)
+    p = RampParams(0.1)
+    w0 = np.array([0.2, 1.0, -0.5, 0.3, 0.1])
+    dense = _dense_full_batch_psgd(ds, p, 0.1, unit(w0), 300)
+    assert dense[138].tobytes() != dense[139].tobytes()
+    assert all(w.tobytes() == dense[139].tobytes() for w in dense[139:])
+    calls = _count_band_gradients(monkeypatch)
+    iterates = psgd(ds, p, PsgdConfig(iterations=300, step_size=0.1,
+                                      batch_size=None), w0=w0)
+    assert len(calls) == 140
+    assert [w.tobytes() for w in iterates] == [w.tobytes() for w in dense]
+
+
+@pytest.mark.parametrize("rows, expected_calls", [
+    ("aaa", 1), ("aba", 3), ("az", 2)])
+def test_gradient_norms_scores_a_repeated_row_once(monkeypatch, rows,
+                                                   expected_calls):
+    # z is a with -0.0 in place of its 0.0: equal under ==, not bit for bit,
+    # so it is scored again; b between two a's forces a third score
+    vectors = {"a": np.array([0.6, 0.8, 0.0]), "z": np.array([0.6, 0.8, -0.0]),
+               "b": np.array([0.0, 0.6, 0.8])}
+    ws = np.stack([vectors[r] for r in rows])
+    ds, p = _small_gaussian_dataset(), RampParams(0.5)
+    one_by_one = np.array([gradient_norms(w[None], ds, p)[0] for w in ws])
+    calls = _count_band_gradients(monkeypatch)
+    norms = gradient_norms(ws, ds, p)
+    assert len(calls) == expected_calls
+    assert norms.tobytes() == one_by_one.tobytes()
+    assert np.all(norms > 0.0)
 
 
 def test_minibatch_psgd_matches_dense_on_the_same_draws():
@@ -442,6 +509,12 @@ def test_dim_mismatch():
 def test_psgd_config_rejects_bad_batch_size(batch_size):
     with pytest.raises(ValueError):
         PsgdConfig(iterations=10, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("iterations", [-1, 2.5, True])
+def test_psgd_config_rejects_bad_iterations(iterations):
+    with pytest.raises(ValueError):
+        PsgdConfig(iterations=iterations)
 
 
 @pytest.mark.parametrize("step_size", [float("nan"), float("inf")])
