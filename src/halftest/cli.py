@@ -33,7 +33,7 @@ from .distributions import (Dataset, MarginalSpec, NoiseModel, empirical_error,
 from .errors import HalftestError
 from .learner import (FixedDatasetSource, LearnerConfig, SyntheticSource,
                       universal_tester_learner)
-from .numerics import householder_basis, unit
+from .numerics import householder_basis, is_integer, is_number, unit
 from .oracle import (brute_force_max_fourth_moment, erm_halfspace,
                      finite_difference_gradient, gaussian_strip_stats,
                      structural_check)
@@ -88,6 +88,17 @@ def _section(name: str, c) -> dict:
     return c
 
 
+def _number(c: dict, key: str, default=None, test=is_number):
+    """c[key], or ``default`` when c has no such key, as written, checked to
+    be a JSON number (an integer when ``test`` is ``is_integer``); JSON true
+    and false are neither."""
+    value = c.get(key, default)
+    if not test(value):
+        what = "an integer" if test is is_integer else "a number"
+        raise ConfigError(f"{key} must be {what}, not {value!r}")
+    return value
+
+
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -114,13 +125,21 @@ def _report(cfg: dict, body: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _print_report(cfg: dict, body: dict, out) -> None:
+    """Print the report, and write it to ``out`` too when that is set."""
+    text = _report(cfg, body)
+    print(text, end="")
+    if out:
+        atomic_write(out, text)
+
+
 # ---------------------------------------------------------------------------
 # config -> objects
 
 def marginal_from_config(c: dict) -> MarginalSpec:
     c = _section("marginal", c)
     return MarginalSpec(
-        kind=c["kind"], dim=int(c["dim"]),
+        kind=c["kind"], dim=c["dim"],
         nu=c.get("nu"), spread=c.get("spread"),
         direction=tuple(c["direction"]) if c.get("direction") else None)
 
@@ -134,34 +153,29 @@ def _target_vector(c: dict, dim: int) -> tuple:
 
 def noise_from_config(c: dict, dim: int) -> NoiseModel:
     c = _section("noise", c)
-    given = {key: v if key in ("profile", "rule") else float(v)
-             for key, v in c.items() if key not in ("kind", "target")}
-    return NoiseModel(kind=c["kind"], target=_target_vector(c, dim), **given)
+    return NoiseModel(**dict(c, target=_target_vector(c, dim)))
 
 
 def tester_from_config(c: dict) -> TesterConfig:
     c = _section("tester", c)
-    return TesterConfig(**{"lam" if key == "lambda" else key: float(v)
+    return TesterConfig(**{"lam" if key == "lambda" else key: v
                            for key, v in c.items()})
 
 
 def psgd_from_config(c: dict) -> PsgdConfig:
     # no seed: the learner seeds every sigma's PSGD run itself
     c = _section("psgd", c)
-    return PsgdConfig(iterations=c.get("iterations", 400),
-                      step_size=c.get("step_size"),
-                      batch_size=c.get("batch_size"))
+    return PsgdConfig(**{"iterations": 400, "batch_size": None, **c})
 
 
 def learner_from_config(c: dict) -> LearnerConfig:
     # a key left out takes its dataclass default; lambda and gamma have none
     c = _section("learner", c)
-    given = {key: c[key] for key in ("noise", "eta", "n1", "n2", "repetitions")
-             if key in c}
-    return LearnerConfig(
-        lam=float(c.get("lambda", 1.0)), gamma=float(c.get("gamma", 1.0)),
-        eps=float(c["eps"]), psgd=psgd_from_config(c.get("psgd", {})),
-        tester=tester_from_config(c.get("tester", {})), **given)
+    given = {"lam" if key == "lambda" else key: v for key, v in c.items()
+             if key not in ("eps", "psgd", "tester")}
+    return LearnerConfig(**{"lam": 1.0, "gamma": 1.0, **given}, eps=c["eps"],
+                         psgd=psgd_from_config(c.get("psgd", {})),
+                         tester=tester_from_config(c.get("tester", {})))
 
 
 def read_config(command: str, cfg) -> dict:
@@ -208,16 +222,17 @@ def _load_config(path: str) -> dict:
 
 
 def _trial_seeds(cfg: dict) -> list:
-    trials = int(cfg.get("trials", 1))
+    trials = _number(cfg, "trials", 1, is_integer)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if "seeds" in cfg:
-        seeds = [int(s) for s in cfg["seeds"]]
-        if len(seeds) != trials:
-            raise ConfigError("seeds list length must equal trials")
-        return seeds
-    root = int(cfg.get("seed", 0))
-    return [root + i for i in range(trials)]
+    if "seeds" not in cfg:
+        root = _number(cfg, "seed", 0, is_integer)
+        return [root + i for i in range(trials)]
+    seeds = cfg["seeds"]
+    if not (isinstance(seeds, list) and len(seeds) == trials
+            and all(map(is_integer, seeds))):
+        raise ConfigError(f"seeds must be {trials} integers, not {seeds!r}")
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +241,13 @@ def _trial_seeds(cfg: dict) -> list:
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     parts = read_config("sample", cfg)
-    n = int(cfg.get("n", 0))
+    n = _number(cfg, "n", 0, is_integer)
     if n < 1:
         raise ConfigError("n must be >= 1")
     out = args.out or cfg.get("out")
     if not out:
         raise ConfigError("sample needs an output path (--out)")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _number(cfg, "seed", 0, is_integer) if args.seed is None else args.seed
     points = sample_marginal(parts["marginal"], n, seed)
     ds = label_dataset(points, parts["noise"], seed)
     atomic_write(out, to_csv(ds) if str(out).endswith(".csv") else to_binary(ds))
@@ -251,19 +266,18 @@ def _run_tester(ds: Dataset, cfg: dict, tc: TesterConfig):
         if w.shape != (ds.dim,):
             raise ConfigError("w dimension does not match the dataset")
     if name == "spectral":
-        return spectral_test(ds.points, float(cfg["theta"]), cfg.get("mode", "min"))
+        return spectral_test(ds.points, _number(cfg, "theta"), cfg.get("mode", "min"))
     if name == "strip":
-        prob = strip_probability(ds.points, w, float(cfg["sigma"]))
+        prob = strip_probability(ds.points, w, _number(cfg, "sigma"))
         return {"strip_probability": prob}
     if name == "disagreement":
-        return local_disagreement_test(ds.points, w, float(cfg["theta"]), tc)
+        return local_disagreement_test(ds.points, w, _number(cfg, "theta"), tc)
     if name == "anticoncentration":
-        return weak_anticoncentration_test(ds.points, w, float(cfg["sigma"]), tc)
+        return weak_anticoncentration_test(ds.points, w, _number(cfg, "sigma"), tc)
     if name == "hypercontractivity":
         return hypercontractivity_test(ds.points, tc.gamma, tc.c_hyper)
-    eta = cfg.get("eta")
-    return stationary_point_test(ds, w, float(cfg["sigma"]),
-                                 None if eta is None else float(eta), tc)
+    eta = None if cfg.get("eta") is None else _number(cfg, "eta")
+    return stationary_point_test(ds, w, _number(cfg, "sigma"), eta, tc)
 
 
 def cmd_test(args) -> int:
@@ -277,10 +291,7 @@ def cmd_test(args) -> int:
         body = {"accepted": result.accepted, "diagnostics": result.diagnostics}
         code = EXIT_ACCEPT if result.accepted else EXIT_REJECT
     body["constants"] = resolved_constants(tc)
-    text = _report(cfg, body)
-    print(text, end="")
-    if args.out:
-        atomic_write(args.out, text)
+    _print_report(cfg, body, args.out)
     return code
 
 
@@ -308,7 +319,7 @@ def cmd_learn(args) -> int:
     if args.seed is not None:
         if "seeds" in cfg:
             raise ConfigError("--seed would be ignored next to a 'seeds' list")
-        cfg = dict(cfg, seed=int(args.seed))
+        cfg = dict(cfg, seed=args.seed)
     seeds = _trial_seeds(cfg)
     if "dataset" in cfg and len(seeds) > 1:
         # every trial would read the same first rows of the file
@@ -349,7 +360,7 @@ def _oracle_report(ds: Dataset, cfg: dict) -> dict:
     check = cfg.get("check")
     if check not in ORACLE_CHECKS:
         raise ConfigError(f"check must be one of {ORACLE_CHECKS}")
-    seed = int(cfg.get("seed", 0))
+    seed = _number(cfg, "seed", 0, is_integer)
     if check == "fourth-moment":
         value, v = brute_force_max_fourth_moment(ds.points, seed=seed)
         sos, sol = solve_relaxation(empirical_fourth_moment_tensor(ds.points))
@@ -358,11 +369,11 @@ def _oracle_report(ds: Dataset, cfg: dict) -> dict:
                 "sos_value": sos, "sos_status": sol.status,
                 "pass": bool(sol.optimal and sos >= value - 1e-5)}
     if check == "gradient":
-        sigma = float(cfg.get("sigma", 0.2))
+        sigma = _number(cfg, "sigma", 0.2)
         p = RampParams(sigma)
         gen = rng.stream(seed, rng.STREAM_ORACLE + 3)
         worst = 0.0
-        for _ in range(int(cfg.get("directions", 10))):
+        for _ in range(_number(cfg, "directions", 10, is_integer)):
             w = rng.unit_sphere(gen, ds.dim)
             lib = surrogate_gradient(w, ds, p)
             ref = finite_difference_gradient(lambda u: surrogate_loss(u, ds, p), w)
@@ -375,11 +386,11 @@ def _oracle_report(ds: Dataset, cfg: dict) -> dict:
         return {"check": check, "opt": opt, "w": [float(x) for x in w],
                 "pass": bool(abs(empirical_error(w, ds) - opt) < 1e-12)}
     if check == "structural":
-        sigma = float(cfg.get("sigma", 0.1))
+        sigma = _number(cfg, "sigma", 0.1)
         gen = rng.stream(seed, rng.STREAM_ORACLE + 4)
         w_star = np.asarray(_target_vector(cfg, ds.dim))
         results = []
-        for _ in range(int(cfg.get("instances", 20))):
+        for _ in range(_number(cfg, "instances", 20, is_integer)):
             w = rng.unit_sphere(gen, ds.dim)
             theta = math.acos(float(np.clip(w @ w_star, -1.0, 1.0)))
             if not 1e-6 < theta < math.pi / 2 - 1e-6:
@@ -390,8 +401,8 @@ def _oracle_report(ds: Dataset, cfg: dict) -> dict:
                 "violations": sum(not r["holds"] for r in results),
                 "pass": all(r["holds"] for r in results)}
     # strip-stats
-    sigma = float(cfg.get("sigma", 0.1))
-    offset = float(cfg.get("offset", 0.3))
+    sigma = _number(cfg, "sigma", 0.1)
+    offset = _number(cfg, "offset", 0.3)
     gen = rng.stream(seed, rng.STREAM_ORACLE + 5)
     w = rng.unit_sphere(gen, ds.dim)
     v = householder_basis(w)[0]
@@ -420,10 +431,7 @@ def cmd_oracle(args) -> int:
     read_config("oracle", cfg)
     ds = load_dataset(args.dataset)
     report = _oracle_report(ds, cfg)
-    text = _report(cfg, report)
-    print(text, end="")
-    if args.out:
-        atomic_write(args.out, text)
+    _print_report(cfg, report, args.out)
     return EXIT_ACCEPT if report["pass"] else EXIT_REJECT
 
 

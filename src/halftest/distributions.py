@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .errors import DimMismatchError, UnknownKindError
-from .numerics import check_finite, is_unit, unit
+from .numerics import check_finite, is_integer, is_number, is_unit, unit
 
 MARGINAL_KINDS = (
     "standard_gaussian",
@@ -69,11 +69,13 @@ class MarginalSpec:
     def __post_init__(self):
         if self.kind not in MARGINAL_KINDS:
             raise UnknownKindError(f"unknown marginal kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.kind == "student_t" and (self.nu is None or self.nu < 1):
+        if not is_integer(self.dim) or self.dim < 1:
+            raise ValueError("dim must be an integer >= 1")
+        if self.kind == "student_t" and not (is_integer(self.nu)
+                                             and self.nu >= 1):
             raise ValueError("student_t requires integer nu >= 1")
-        if self.kind == "two_point_mass" and (self.spread is None or self.spread <= 0):
+        if self.kind == "two_point_mass" and not (is_number(self.spread)
+                                                  and self.spread > 0):
             raise ValueError("two_point_mass requires spread > 0")
 
     @property
@@ -124,6 +126,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("clean", "massart", "agnostic"):
             raise UnknownKindError(f"unknown noise kind {self.kind!r}")
+        if not all(map(is_number, (self.eta, self.width, self.flip_prob))):
+            raise ValueError("eta, width and flip_prob must be numbers")
         if self.kind == "massart" and not 0.0 <= self.eta < 0.5:
             raise ValueError("massart requires eta in [0, 1/2)")
         # written so that NaN fails them

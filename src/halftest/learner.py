@@ -57,7 +57,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import Optional, Protocol
 
 import numpy as np
@@ -66,6 +65,7 @@ from . import rng
 from .distributions import (Dataset, MarginalSpec, NoiseModel, empirical_error,
                             label_dataset, sample_marginal)
 from .errors import InsufficientSamplesError
+from .numerics import is_integer, is_number
 from .surrogate import PsgdConfig, RampParams, gradient_norms, psgd
 from .testers import (MAX_THETA, TesterConfig, local_disagreement_test,
                       stationary_point_test)
@@ -93,14 +93,16 @@ class LearnerConfig:
     repetitions: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.eps < math.inf and math.isfinite(self.eta or 0.0)):
-            raise ValueError("eps must be positive and finite, eta finite")
+        if not (is_number(self.eps) and 0.0 < self.eps < math.inf and (
+                self.eta is None or is_number(self.eta)
+                and math.isfinite(self.eta))):
+            raise ValueError("eps must be a positive finite number, eta finite")
         if self.noise not in ("massart", "agnostic"):
             raise ValueError("noise must be 'massart' or 'agnostic'")
         if self.noise == "massart":
             if self.eta is None or not 0.0 <= self.eta < 0.5:
                 raise ValueError("massart requires eta in [0, 1/2)")
-        if any(isinstance(v, bool) or not isinstance(v, Integral) or v < 1
+        if any(not is_integer(v) or v < 1
                for v in (self.n1, self.n2, self.repetitions)):
             raise ValueError("n1, n2 and repetitions must be integers >= 1")
         self.grid_tester()  # checks lam and gamma before any sampling

@@ -3,20 +3,21 @@
 All testers reduce to spectra of small dense symmetric matrices and to
 projections onto the orthogonal complement of a unit vector.  Matrices are
 plain float64 numpy arrays, stored exactly symmetric; vectors on the sphere
-are arrays with ``abs(norm - 1) <= UNIT_TOL``.
+are arrays with ``abs(norm - 1) <= UNIT_TOL``.  ``is_number`` and
+``is_integer`` are the type tests of every config dataclass: a bool is
+neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import NonFiniteError
 
 UNIT_TOL = 1e-12
-STALL_RTOL = 16 * np.finfo(float).eps  # a rise within rounding: stalled
 
 
 def check_finite(arr: np.ndarray) -> np.ndarray:
@@ -32,6 +33,16 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return (m + m.T) / 2.0
+
+
+def is_number(x) -> bool:
+    """x is a real number and not a bool, which Python counts as one."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def is_integer(x) -> bool:
+    """x is an integer and not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def is_unit(w: np.ndarray, tol: float = UNIT_TOL) -> bool:
@@ -62,33 +73,6 @@ def operator_norm(m: np.ndarray) -> float:
 
 def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(m))[0])
-
-
-def fourth_moment_ascent(contract: Callable[[np.ndarray], np.ndarray],
-                         starts: np.ndarray, steps: int,
-                         target: float = math.inf) -> tuple[float, np.ndarray]:
-    """(value, v): the best <T(v,v,v,.), v> that power steps from the unit
-    rows of ``starts`` reach, and the row that reaches it; ``contract`` maps
-    a (k, d) block to T(v,v,v,.) of each row.  Each step is scaled by its
-    largest entry before its norm, and a zero step stays.  Power steps never
-    lower a convex quartic (Kofidis and Regalia, SIAM J. Matrix Anal. Appl.
-    23, 2002), so the ascent stops at the first value above ``target``,
-    after ``steps`` steps, or once the best value rises by at most
-    STALL_RTOL of itself.
-    """
-    v = np.array(starts, dtype=float)
-    value, direction = -math.inf, None
-    for step in range(steps + 1):
-        g = contract(v)
-        values = (g * v).sum(axis=1)
-        rise = values.max() - value
-        if rise > 0.0:
-            value, direction = float(values.max()), v[values.argmax()].copy()
-        if value > target or rise <= STALL_RTOL * value or step == steps:
-            return value, direction
-        top = np.abs(g).max(axis=1, keepdims=True)
-        np.divide(g, top, out=v, where=top > 0.0)   # a zero step keeps v
-        v /= np.sqrt((v * v).sum(axis=1, keepdims=True))
 
 
 def householder_basis(w: np.ndarray) -> np.ndarray:

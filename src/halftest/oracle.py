@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they check: the fourth-moment
 maximizer scores every candidate direction on its own dense moment tensor
 (a sphere grid at d <= 4, then power ascent from all starts until it
-stalls), so its memory does not depend on the sample size; gradients come
-from central finite differences in a tangent basis, ERM is an exhaustive
-sweep at d <= 2 (pair normals at d = 3, random search above), and the
+stalls in ``fourth_moment_ascent``, which no tester calls), so its memory
+does not depend on the sample size; gradients come from central finite
+differences in a tangent basis, ERM is an exhaustive sweep at d <= 2
+(pair normals at d = 3, random search above), and the
 surrogate-loss structural inequality is evaluated from first principles
 with the ramp's own derived constants (derivative exactly 1/sigma on the
 linear piece, at most 3/sigma everywhere):
@@ -30,8 +31,7 @@ import numpy as np
 from . import rng
 from .distributions import Dataset, NoiseModel, sign_pm1
 from .errors import DegenerateAngleError, DimTooLargeError
-from .numerics import (check_finite, fourth_moment_ascent, householder_basis,
-                       unit)
+from .numerics import check_finite, householder_basis, unit
 from .surrogate import (RAMP_DERIV_BOUND, RampParams, smooth_ramp_derivative,
                         surrogate_gradient)
 
@@ -42,6 +42,7 @@ GRID_STARTS = 32
 MAX_POWER_STEPS = 10_000  # a cap: near-isotropic samples stall after ~700
 PAIR_BUDGET = 100_000
 ERM_BLOCK = 1 << 22  # candidate scores per block: 32 MB of float64
+STALL_RTOL = 16 * np.finfo(float).eps  # a rise within rounding: stalled
 
 
 def fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
@@ -49,6 +50,31 @@ def fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
     n, d = points.shape
     q = (points[:, :, None] * points[:, None, :]).reshape(n, d * d)
     return (q.T @ q / n).reshape((d,) * 4)
+
+
+def fourth_moment_ascent(contract: Callable[[np.ndarray], np.ndarray],
+                         starts: np.ndarray, steps: int) -> tuple[float, np.ndarray]:
+    """(value, v): the best <T(v,v,v,.), v> that power steps from the unit
+    rows of ``starts`` reach, and the row that reaches it; ``contract`` maps
+    a (k, d) block to T(v,v,v,.) of each row.  Each step is scaled by its
+    largest entry before its norm, and a zero step stays.  Power steps never
+    lower a convex quartic (Kofidis and Regalia, SIAM J. Matrix Anal. Appl.
+    23, 2002), so the ascent stops after ``steps`` steps, or once the best
+    value rises by at most STALL_RTOL of itself.
+    """
+    v = np.array(starts, dtype=float)
+    value, direction = -math.inf, None
+    for step in range(steps + 1):
+        g = contract(v)
+        values = (g * v).sum(axis=1)
+        rise = values.max() - value
+        if rise > 0.0:
+            value, direction = float(values.max()), v[values.argmax()].copy()
+        if rise <= STALL_RTOL * value or step == steps:
+            return value, direction
+        top = np.abs(g).max(axis=1, keepdims=True)
+        np.divide(g, top, out=v, where=top > 0.0)   # a zero step keeps v
+        v /= np.sqrt((v * v).sum(axis=1, keepdims=True))
 
 
 @functools.lru_cache(maxsize=4)
@@ -93,7 +119,7 @@ def brute_force_max_fourth_moment(points: np.ndarray, mode: str = "auto",
     <T(v, v, v, .), v>, so memory does not grow with the sample size.  The
     starts are the GRID_STARTS best points of a sphere grid (grid mode,
     d <= 4), POWER_RESTARTS random directions and the coordinate axes; all
-    of them ascend together (``numerics.fourth_moment_ascent``) until the
+    of them ascend together (``fourth_moment_ascent``) until the
     best value stalls, at most MAX_POWER_STEPS steps, so the result is at
     least the best grid score.  Ascent mode (any d) skips the grid: a lower
     bound on the maximum rather than the global maximum.

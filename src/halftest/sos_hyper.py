@@ -48,8 +48,10 @@ cost completeness.
 A reject needs no solve when a witness is at hand: for a unit v the rank-one
 M = psi(v) psi(v)^T is feasible with value E[<v,x>^4], so a v whose
 fourth moment exceeds the threshold, re-scored on the sample with a
-rounding margin (``fourth_moment_witness``), proves that no iterate could
-have certified it.  The witness is a lower bound on the relaxation value
+rounding margin, proves that no iterate could have certified it.
+``fourth_moment_witness`` finds v with one eigendecomposition of a
+flattening of C whose quadratic form is exactly E[<v,x>^4], and takes no
+power step.  The witness is a lower bound on the relaxation value
 and the certified bound an upper one, so the verdict is the one the solve
 would give, with a direction that anyone can check against the sample.
 """
@@ -61,10 +63,8 @@ import math
 
 import numpy as np
 
-from .numerics import check_finite, fourth_moment_ascent, unit
+from .numerics import check_finite, unit
 from .sdp import CERTIFIED, OPTIMAL, SdpProblem, SdpSolution, solve_sdp
-
-WITNESS_STEPS = 8  # power steps a witness search may take
 
 
 def empirical_fourth_moment_tensor(points: np.ndarray) -> np.ndarray:
@@ -157,14 +157,24 @@ def fourth_moment_witness(points: np.ndarray, c: np.ndarray,
     feasible for the relaxation with value psi^T C psi = E[<v,x>^4], so a
     witness proves that no dual bound can certify the sample.
 
-    Since psi^T C psi <= lambda_max(C) |psi|^2 <= lambda_max(C) for unit v,
-    there is none when lambda_max(C) <= threshold.  Otherwise
-    ``numerics.fourth_moment_ascent`` takes at most ``WITNESS_STEPS`` steps
-    from the eigenvector of largest |eigenvalue| of C's top eigenvector
-    folded into a symmetric d x d matrix, with the O(D^2) contraction G v,
-    G = fold(w * C psi(v)), w = 1 on the pairs (i, i) and 1/2 off them
-    (G_ij = E[x_i x_j <v,x>^2], v^T G v = psi(v)^T C psi(v)), and stops at
-    the first v whose value on C exceeds the threshold.
+    The search is one eigendecomposition of the flattening
+    W = diag(r) C diag(r) - (e e^T - I), with r = 1 on the pairs (i, i) and
+    1/sqrt 2 off them and e the indicator of the pairs (i, i) (a spectral
+    certificate in the sense of Hopkins, Shi and Steurer, "Tensor principal
+    component analysis via sum-of-squares proofs", COLT 2015).  In the
+    orthonormal coordinates psi~(v) = psi(v) / r of the symmetric square,
+    |psi~(v)|^2 = |v|^4 and e^T psi~(v) = |v|^2, so the shift vanishes on
+    every psi~(v) and
+
+        psi~(v)^T W psi~(v) = psi(v)^T C psi(v) = E[<v,x>^4].
+
+    Hence no unit v exceeds the threshold when lambda_max(W) <= threshold,
+    and there is no witness (a None only leaves the sample to the solve).
+    Otherwise W's top eigenvector z is rounded once: r z folded into a
+    symmetric d x d matrix (v v^T when z is psi~(v)) gives v, its
+    eigenvector of largest |eigenvalue|.  For the Gaussian population
+    W = 3 I, where every unit direction has fourth moment 3, so the skip
+    is exact there.
 
     That v is re-scored on the points as F = mean((p p) (p p)) / |v|^4,
     p = x v, and reported only when F - margin > threshold.  With u = eps/2,
@@ -192,29 +202,21 @@ def fourth_moment_witness(points: np.ndarray, c: np.ndarray,
     value, would reject too.
     """
     n, d = points.shape
-    eigenvalues, eigenvectors = np.linalg.eigh(c)
+    pi, pj = np.triu_indices(d)
+    e = (pi == pj).astype(float)
+    r = np.where(pi == pj, 1.0, math.sqrt(0.5))
+    eigenvalues, eigenvectors = np.linalg.eigh(
+        r[:, None] * c * r - np.outer(e, e) + np.eye(len(e)))
     if eigenvalues[-1] <= threshold:
         return None
-    pi, pj = np.triu_indices(d)
-    fold = np.empty((d, d), dtype=int)      # w[fold]: w as a symmetric matrix
+    fold = np.empty((d, d), dtype=int)      # z[fold]: z as a symmetric matrix
     fold[pi, pj] = fold[pj, pi] = np.arange(len(pi))
-    values, vectors = np.linalg.eigh(eigenvectors[:, -1][fold])
-    start = unit(vectors[:, np.argmax(np.abs(values))])[None, :]
-    half = np.where(pi == pj, 1.0, 0.5)
+    values, vectors = np.linalg.eigh((r * eigenvectors[:, -1])[fold])
+    v = unit(vectors[:, np.argmax(np.abs(values))])
 
-    def contract(v):                        # G v for each row v
-        g = (half * ((v[:, pi] * v[:, pj]) @ c))[:, fold]
-        return (g @ v[:, :, None])[:, :, 0]
-
-    value, v = fourth_moment_ascent(contract, start, WITNESS_STEPS, threshold)
-    if not value > threshold:
-        return None
-
-    p = points @ v
-    q = p * p
+    q = np.square(points @ v)
     value = float(np.mean(q * q)) / float(v @ v) ** 2
-    squares = np.flatnonzero(pi == pj)
-    fourth = float(np.sum(c[np.ix_(squares, squares)]))
+    fourth = float(e @ c @ e)
     margin = (np.finfo(float).eps * (2 * n + 6 * d + 10) * fourth
               + np.finfo(float).tiny)
     if not (math.isfinite(value) and value - margin > threshold):

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from . import rng
 from .distributions import Dataset
 from .errors import DimMismatchError, PreconditionError
-from .numerics import UNIT_TOL, check_finite, unit
+from .numerics import UNIT_TOL, check_finite, is_integer, is_number, unit
 
 # Derived ramp constant, used by the structural-inequality oracle.
 RAMP_DERIV_BOUND = 3.0      # l' <= 3/sigma everywhere (actual max is 4/3)
@@ -247,14 +246,13 @@ class PsgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        t = self.iterations
-        if isinstance(t, bool) or not isinstance(t, Integral) or t < 0:
+        if not is_integer(self.iterations) or self.iterations < 0:
             raise ValueError("iterations must be an integer >= 0")
-        if self.step_size is not None and not 0 < self.step_size < math.inf:
+        s = self.step_size
+        if s is not None and not (is_number(s) and 0 < s < math.inf):
             raise ValueError("step_size must be positive and finite")
         b = self.batch_size
-        if b is not None and (isinstance(b, bool) or not isinstance(b, Integral)
-                              or b < 1):
+        if b is not None and not (is_integer(b) and b >= 1):
             raise ValueError("batch_size must be None or an integer >= 1")
 
     def resolved_step(self, sigma: float) -> float:

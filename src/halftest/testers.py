@@ -48,8 +48,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteError, PreconditionError
-from .numerics import (check_finite, is_unit, min_eigenvalue, operator_norm,
-                       project_orthogonal)
+from .numerics import (check_finite, is_number, is_unit, min_eigenvalue,
+                       operator_norm, project_orthogonal)
 from .sdp import CERTIFIED, OPTIMAL
 from .sos_hyper import (empirical_fourth_moment_tensor, fourth_moment_witness,
                         solve_relaxation)
@@ -89,9 +89,9 @@ class TesterConfig:
     c_hyper: float = 10.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.lam, self.gamma, self.c1,
-                                       self.c_hyper))):
-            raise ValueError("lam, gamma, c1 and c_hyper must be finite")
+        if not all(is_number(v) and math.isfinite(v)
+                   for v in (self.lam, self.gamma, self.c1, self.c_hyper)):
+            raise ValueError("lam, gamma, c1 and c_hyper must be finite numbers")
         if self.lam < 1.0:
             raise ValueError("lam must be >= 1")
         if self.gamma <= 0:
@@ -114,7 +114,7 @@ class TesterConfig:
     @property
     def strip_constant(self) -> float:
         """c1 * lam^c1, the compound constant in every strip threshold."""
-        return self.c1 * self.lam ** self.c1
+        return self.c1 * float(self.lam) ** self.c1
 
     def stationary_bounds(self, sigma: float, eta: Optional[float]) -> tuple:
         """(gradient_threshold, angle_bound) of the stationary-point test:

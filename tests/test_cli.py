@@ -508,6 +508,68 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys, command,
     assert not (tmp_path / "o.csv").exists() and not (tmp_path / "o").exists()
 
 
+SPECTRAL_CFG = {"tester": "spectral", "w": [1.0, 0.0], "theta": 0.5}
+STATIONARY_CFG = {"tester": "stationary", "w": [1.0, 0.0], "sigma": 0.1,
+                  "eta": 0.1}
+STUDENT_T_CFG = {"marginal": {"kind": "student_t", "dim": 2, "nu": 3},
+                 "n": 10, "seed": 1}
+MASSART_CFG = dict(KEY_CHECK_CFGS["sample"],
+                   noise={"kind": "massart", "eta": 0.1, "target": "e1"})
+# (command, config, section path, key, value): one key family per group
+WRONG_NUMBERS = [
+    ("test", KEY_CHECK_CFGS["test"], ("tester_config",), "lambda", True),
+    ("test", KEY_CHECK_CFGS["test"], ("tester_config",), "c_hyper", "10"),
+    ("sample", KEY_CHECK_CFGS["sample"], ("marginal",), "dim", 2.5),
+    ("sample", KEY_CHECK_CFGS["sample"], ("marginal",), "dim", True),
+    ("sample", STUDENT_T_CFG, ("marginal",), "nu", 2.5),
+    ("sample", MASSART_CFG, ("noise",), "eta", True),
+    ("sample", KEY_CHECK_CFGS["sample"], ("noise",), "width", True),
+    ("learn", LEARN_CFG, ("learner",), "eps", True),
+    ("learn", LEARN_CFG, ("learner",), "lambda", True),
+    ("learn", LEARN_CFG, ("learner", "psgd"), "step_size", True),
+    ("sample", KEY_CHECK_CFGS["sample"], (), "n", 2.5),
+    ("sample", KEY_CHECK_CFGS["sample"], (), "n", True),
+    ("sample", KEY_CHECK_CFGS["sample"], (), "seed", 1.5),
+    ("learn", LEARN_CFG, (), "trials", 2.9),
+    ("learn", LEARN_CFG, (), "trials", True),
+    ("learn", dict(LEARN_CFG, trials=2), (), "seeds", [1.5, True]),
+    ("learn", LEARN_CFG, (), "seeds", [True]),
+    ("learn", LEARN_CFG, (), "seed", True),
+    ("test", SPECTRAL_CFG, (), "theta", True),
+    ("test", STATIONARY_CFG, (), "sigma", "0.1"),
+    ("test", STATIONARY_CFG, (), "eta", True),
+    ("oracle", KEY_CHECK_CFGS["oracle"], (), "seed", True),
+    ("oracle", {"check": "gradient"}, (), "sigma", True),
+    ("oracle", {"check": "gradient"}, (), "directions", 2.5),
+    ("oracle", {"check": "structural"}, (), "instances", True),
+    ("oracle", {"check": "strip-stats"}, (), "offset", True),
+]
+
+
+@pytest.mark.parametrize("command, base, section, key, value", WRONG_NUMBERS,
+                         ids=[f"{command}.{'.'.join(path + (key,))}={value!r}"
+                              for command, _, path, key, value in WRONG_NUMBERS])
+def test_config_number_of_the_wrong_type_is_a_config_error(
+        tmp_path, capsys, command, base, section, key, value):
+    # a bool, a string or a fractional count is refused, never coerced
+    cfg = json.loads(json.dumps(base))
+    part = cfg
+    for name in section:
+        part = part[name]
+    part[key] = value
+    path = write_config(tmp_path, "c.json", cfg)
+    data = tmp_path / "d.csv"
+    data.write_text(TINY_CSV)
+    argv = {"sample": ["sample", "--config", path, "--out", str(tmp_path / "o.csv")],
+            "test": ["test", str(data), "--config", path],
+            "learn": ["learn", "--config", path, "--out", str(tmp_path / "o")],
+            "oracle": ["oracle", str(data), "--config", path]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "o").exists()
+
+
 def test_misspelt_tester_key_cannot_flip_a_verdict(tmp_path, capsys):
     # the misspelt key used to leave c_hyper at its default and accept
     data = _gaussian_sample(tmp_path, 2000, seed=1)

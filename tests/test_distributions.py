@@ -149,6 +149,24 @@ def test_noise_rejects_impossible_parameters(kwargs):
         NoiseModel("agnostic", (1.0, 0.0), **kwargs)
 
 
+@pytest.mark.parametrize("value", [True, "0.1", None])
+@pytest.mark.parametrize("name", ["eta", "width", "flip_prob"])
+def test_noise_rejects_a_bool_or_a_non_number(name, value):
+    with pytest.raises(ValueError):
+        NoiseModel("massart", (1.0, 0.0), **{name: value})
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("standard_gaussian", {"dim": 2.5}), ("standard_gaussian", {"dim": True}),
+    ("standard_gaussian", {"dim": "3"}), ("student_t", {"dim": 3, "nu": 2.5}),
+    ("student_t", {"dim": 3, "nu": True}),
+    ("two_point_mass", {"dim": 3, "spread": True}),
+    ("two_point_mass", {"dim": 3, "spread": math.nan})])
+def test_marginal_rejects_a_bool_or_a_non_integral_count(kind, kwargs):
+    with pytest.raises(ValueError):
+        MarginalSpec(kind, **kwargs)
+
+
 @pytest.mark.parametrize("flip_prob, flipped", [(0.0, 0), (1.0, 5)])
 def test_random_flip_at_the_ends_of_its_range(flip_prob, flipped):
     pts = sample_marginal(GAUSS2, 5, seed=1)

@@ -51,7 +51,9 @@ def boundary_flip_source(kind, seed, **kwargs):
     ("eps", math.inf), ("eta", math.nan), ("eta", math.inf),
     ("gamma", 1e80), ("gamma", 1e-100),
     ("n1", 0), ("n1", -5), ("n1", 2.5), ("n1", True), ("n2", 0),
-    ("n2", 2.5), ("n2", True), ("repetitions", 1.5), ("repetitions", True)])
+    ("n2", 2.5), ("n2", True), ("repetitions", 1.5), ("repetitions", True),
+    ("lam", True), ("gamma", True), ("eps", True), ("eps", "0.1"),
+    ("eta", True)])
 def test_learner_config_rejects_bad_numbers(name, value):
     with pytest.raises(ValueError):
         dataclasses.replace(agnostic_config(), **{name: value})
@@ -208,6 +210,22 @@ def test_rejects_two_point_mass():
     out = universal_tester_learner(src, massart_config(), seed=62)
     assert not out.accepted
     assert out.stage in ("stationary_test", "disagreement_test")
+
+
+def test_laplace_massart_run_rejects_at_a_hypercontractivity_witness():
+    # criterion 11's configuration on product Laplace: the slab of about
+    # 300 points has a direction whose fourth moment clears 9, so the
+    # stationary test rejects at the witness without an SDP solve
+    src = SyntheticSource(MarginalSpec("product_laplace", 5),
+                          NoiseModel("massart", W_STAR5, eta=0.1), seed=1108)
+    out = universal_tester_learner(src, massart_config(iterations=400),
+                                   seed=1108)
+    assert not out.accepted and out.stage == "stationary_test"
+    (info,) = out.trace["per_sigma"].values()
+    diag = info["stationary"]
+    assert diag["rejected_by"] == "hypercontractivity"
+    assert diag["hyper_stop_reason"] == "witness"
+    assert diag["hyper_witness_value"] > diag["hyper_threshold"] == 9.0
 
 
 def test_rejects_line_mass():

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halftest.errors import NonFiniteError
-from halftest.numerics import (STALL_RTOL, fourth_moment_ascent,
-                               householder_basis, min_eigenvalue,
+from halftest.numerics import (householder_basis, min_eigenvalue,
                                operator_norm, project_orthogonal, unit)
 
 
@@ -36,79 +35,6 @@ def test_extreme_eigenvalues_match_eigvalsh(seed):
     vals = np.linalg.eigvalsh(m)
     assert min_eigenvalue(m) == vals[0]
     assert operator_norm(m) == max(-vals[0], vals[-1])
-
-
-def _sample_contraction(points):
-    """v -> E[<v,x>^3 x] for each row of v, and the list of blocks it was
-    called on."""
-    calls = []
-
-    def contract(v):
-        calls.append(v.copy())
-        p = v @ points.T
-        return (p * p * p) @ points / len(points)
-    return contract, calls
-
-
-def _fourth_moments(points, v):
-    p = v @ points.T
-    return np.mean(p**4, axis=1)
-
-
-def test_fourth_moment_ascent_stops_at_target_cap_or_stall():
-    rng = np.random.default_rng(11)
-    points = rng.standard_t(5, (200, 4))
-    starts = np.array([unit(rng.standard_normal(4)) for _ in range(6)])
-    # no returned value is below its start's, whichever rows start
-    for k in range(1, 7):
-        contract, _ = _sample_contraction(points)
-        value, v = fourth_moment_ascent(contract, starts[:k], 50)
-        assert value >= _fourth_moments(points, starts[:k]).max()
-        assert value == pytest.approx(_fourth_moments(points, v[None])[0],
-                                      rel=1e-12)
-    # the cap: three steps, so four contractions
-    contract, calls = _sample_contraction(points)
-    fourth_moment_ascent(contract, starts, 3)
-    assert len(calls) == 4
-    best = [_fourth_moments(points, block).max() for block in calls]
-    assert best[0] < best[1] < best[2] < best[3]
-    # the target: the ascent stops at the first step whose value exceeds it
-    target = (best[2] + best[3]) / 2
-    contract, calls = _sample_contraction(points)
-    value, _ = fourth_moment_ascent(contract, starts, 50, target)
-    assert len(calls) == 4 and value > target
-    # the stall: far below the cap, at a best value that no longer rises
-    contract, calls = _sample_contraction(points)
-    value, _ = fourth_moment_ascent(contract, starts, 10_000)
-    assert len(calls) < 10_000
-    last = _fourth_moments(points, calls[-1]).max()
-    assert last - value <= STALL_RTOL * value
-
-
-def test_fourth_moment_ascent_keeps_rows_with_a_zero_step():
-    # e3 is orthogonal to every point: its step is zero and it stays put,
-    # while the other start ascends
-    rng = np.random.default_rng(12)
-    points = np.zeros((100, 3))
-    points[:, :2] = rng.standard_normal((100, 2))
-    starts = np.array([[0.0, 0.0, 1.0], unit(np.array([1.0, 1.0, 1.0]))])
-    contract, calls = _sample_contraction(points)
-    value, v = fourth_moment_ascent(contract, starts, 20)
-    assert all(np.array_equal(block[0], starts[0]) for block in calls)
-    assert value > _fourth_moments(points, starts[1:])[0] and v[2] == 0.0
-
-
-def test_fourth_moment_ascent_does_not_overflow_on_large_steps():
-    # the steps of points scaled by 1e70 are about 1e280, whose squares
-    # overflow unless each step is scaled before its norm is taken
-    rng = np.random.default_rng(13)
-    points = rng.standard_normal((100, 3))
-    starts = np.array([unit(rng.standard_normal(3))])
-    value, _ = fourth_moment_ascent(_sample_contraction(points)[0], starts, 5)
-    with np.errstate(all="raise"):
-        big, _ = fourth_moment_ascent(_sample_contraction(points * 1e70)[0],
-                                      starts, 5)
-    assert big == pytest.approx(value * 1e280, rel=1e-12)
 
 
 def test_operator_norm_examples():

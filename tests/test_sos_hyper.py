@@ -425,20 +425,64 @@ def test_rescaled_gaussian_is_a_witness_reject_without_floating_point_errors(sca
     assert "sdp_value" not in diag and "iterations" not in diag
 
 
+class _Rounded(Exception):
+    """The witness reached its rounding step (see ``_rounded``)."""
+
+
+def _rounded(v):
+    # patched in for sos_hyper.unit, which the witness calls only to round
+    raise _Rounded
+
+
+def _flattening(c, d):
+    """W = diag(r) C diag(r) - (e e^T - I) of fourth_moment_witness."""
+    pi, pj = np.triu_indices(d)
+    r = np.where(pi == pj, 1.0, math.sqrt(0.5))
+    e = (pi == pj).astype(float)
+    return r[:, None] * c * r - np.outer(e, e) + np.eye(len(r))
+
+
 def test_no_witness_search_below_the_top_eigenvalue(monkeypatch):
-    # lambda_max(C) <= threshold rules a witness out: no power step is taken
-    # and the tester solves
+    # lambda_max(W) <= threshold rules a witness out: the search stops
+    # before its rounding step and the tester solves
     pts = sample_marginal(MarginalSpec("standard_gaussian", 3), 10_000, seed=27)
     c = empirical_fourth_moment_tensor(pts)
-    top = np.linalg.eigvalsh(c)[-1]
+    top = np.linalg.eigvalsh(_flattening(c, 3))[-1]
     assert top < 9.0
 
-    def no_step(v):
-        raise AssertionError("power step taken")
-    monkeypatch.setattr(sos_hyper, "unit", no_step)
-    assert fourth_moment_witness(pts, c, top) is None
+    monkeypatch.setattr(sos_hyper, "unit", _rounded)
+    assert fourth_moment_witness(pts, c, top * (1.0 + 1e-12)) is None
+    with pytest.raises(_Rounded):
+        fourth_moment_witness(pts, c, top * (1.0 - 1e-9))
     verdict = hypercontractivity_test(pts, 1.0, 10.0)
     assert verdict.accepted and verdict.diagnostics["stop_reason"] == "certified"
+
+
+def _small_samples():
+    """Twenty samples: Gaussian, Laplace, cube and Student-t nu=3 at
+    d = 2..5 and n = 200..2000."""
+    kinds = ("standard_gaussian", "product_laplace", "uniform_cube",
+             "student_t")
+    for i in range(20):
+        kind = kinds[i % 4]
+        spec = MarginalSpec(kind, 2 + (i // 4) % 4,
+                            nu=3 if kind == "student_t" else None)
+        yield sample_marginal(spec, (200, 500, 1000, 2000)[(i + i // 4) % 4],
+                              seed=2700 + i)
+
+
+def test_witness_skips_only_thresholds_no_direction_reaches(monkeypatch):
+    # lambda_max(W) is at least the maximum fourth moment, so a threshold
+    # just below the oracle's maximum reaches the rounding step; on these
+    # samples it is also within 25% of it, so a threshold 25% above the
+    # maximum stops before rounding
+    monkeypatch.setattr(sos_hyper, "unit", _rounded)
+    for pts in _small_samples():
+        top, _ = brute_force_max_fourth_moment(pts)
+        c = empirical_fourth_moment_tensor(pts)
+        with pytest.raises(_Rounded):
+            fourth_moment_witness(pts, c, top * (1.0 - 1e-9))
+        assert fourth_moment_witness(pts, c, 1.25 * top) is None
 
 
 def test_witness_clears_the_threshold_by_its_rounding_margin():
@@ -456,15 +500,13 @@ def test_witness_clears_the_threshold_by_its_rounding_margin():
     assert again == value and np.array_equal(same, v)
 
 
-def test_witness_power_steps_climb_past_the_start(monkeypatch):
-    # on this sample the folded start scores below 6 and two power steps on
-    # C find a direction above it; the relaxation value is about 7.08
+def test_rounded_witness_clears_a_threshold_near_the_relaxation_value():
+    # the relaxation value of this sample is about 7.08; the rounded top
+    # eigenvector of W is a witness at 6
     pts = sample_marginal(MarginalSpec("product_laplace", 4), 5_000, seed=37)
     c = empirical_fourth_moment_tensor(pts)
     value, _ = fourth_moment_witness(pts, c, 6.0)
     assert 6.0 < value <= solve_relaxation(c)[0]
-    monkeypatch.setattr(sos_hyper, "WITNESS_STEPS", 0)
-    assert fourth_moment_witness(pts, c, 6.0) is None
 
 
 def _criterion_05_06_samples():

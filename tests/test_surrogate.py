@@ -511,6 +511,12 @@ def test_psgd_config_rejects_bad_batch_size(batch_size):
         PsgdConfig(iterations=10, batch_size=batch_size)
 
 
+@pytest.mark.parametrize("step_size", [0.0, float("inf"), True, "0.1"])
+def test_psgd_config_rejects_bad_step_size(step_size):
+    with pytest.raises(ValueError):
+        PsgdConfig(iterations=10, step_size=step_size)
+
+
 @pytest.mark.parametrize("iterations", [-1, 2.5, True])
 def test_psgd_config_rejects_bad_iterations(iterations):
     with pytest.raises(ValueError):

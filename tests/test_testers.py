@@ -79,6 +79,21 @@ def test_tester_config_rejects_non_finite(name, value):
         TesterConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [True, "3.0", None])
+@pytest.mark.parametrize("name", ["lam", "gamma", "c1", "c_hyper"])
+def test_tester_config_rejects_a_bool_or_a_non_number(name, value):
+    with pytest.raises(ValueError):
+        TesterConfig(**{name: value})
+
+
+def test_tester_config_with_integer_constants_does_not_build_huge_integers():
+    # 3 ** 10**9 as a Python integer would take minutes; as a float it
+    # overflows at once
+    with pytest.raises(ValueError):
+        TesterConfig(lam=3, c1=10**9)
+    assert TesterConfig(lam=3, c1=3).strip_constant == 81.0
+
+
 @pytest.mark.parametrize("name, value", [
     ("gamma", 1e80), ("gamma", 1e-100), ("c1", 1000.0)])
 def test_tester_config_rejects_constants_that_overflow(name, value):
