@@ -99,6 +99,17 @@ def _number(c: dict, key: str, default=None, test=is_number):
     return value
 
 
+def _vector(c: dict, key: str) -> np.ndarray:
+    """c[key], checked to be a nonempty JSON list of numbers, as a float
+    vector; a list holding true, false or a string is refused, not coerced."""
+    value = c[key]
+    if not (isinstance(value, (list, tuple)) and value
+            and all(is_number(x) for x in value)):
+        raise ConfigError(f"{key} must be a nonempty list of numbers, "
+                          f"not {value!r}")
+    return np.array(value, dtype=float)
+
+
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -141,14 +152,15 @@ def marginal_from_config(c: dict) -> MarginalSpec:
     return MarginalSpec(
         kind=c["kind"], dim=c["dim"],
         nu=c.get("nu"), spread=c.get("spread"),
-        direction=tuple(c["direction"]) if c.get("direction") else None)
+        direction=(tuple(_vector(c, "direction").tolist())
+                   if c.get("direction") is not None else None))
 
 
 def _target_vector(c: dict, dim: int) -> tuple:
     target = c.get("target", "e1")
     if target == "e1":
         return tuple(np.eye(dim)[0])
-    return tuple(unit(np.asarray(target, dtype=float)))
+    return tuple(unit(_vector(c, "target")))
 
 
 def noise_from_config(c: dict, dim: int) -> NoiseModel:
@@ -262,7 +274,7 @@ def _run_tester(ds: Dataset, cfg: dict, tc: TesterConfig):
     if name != "hypercontractivity":
         if "w" not in cfg:
             raise ConfigError(f"tester {name} needs a unit vector 'w'")
-        w = unit(np.asarray(cfg["w"], dtype=float))
+        w = unit(_vector(cfg, "w"))
         if w.shape != (ds.dim,):
             raise ConfigError("w dimension does not match the dataset")
     if name == "spectral":

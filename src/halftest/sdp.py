@@ -154,25 +154,41 @@ def _dual_bound(aty: np.ndarray, y: np.ndarray, b: np.ndarray, c: np.ndarray,
       within p(n) eps ||S|| of the computed S, p(n) a modestly growing
       function of n (LAPACK Users' Guide, sec. 4.7).
 
+    Both bounds are relative, and gradual underflow adds an absolute error:
+    a product or quotient is then (a op b)(1 + delta) + eta with
+    |eta| <= tiny u, tiny the smallest normal number, and a sum or
+    difference is exact (Higham, sec. 2.1, model (2.8)).  Each entry of S
+    gains at most (m + 1) tiny u, and an objective C formed as a mean of
+    products, like the pair-moment matrix, at most 2 tiny u per entry
+    before it gets here: n (m + 3) tiny u in Frobenius norm in all.
+    eigvalsh is charged as in its relative term, with tiny per entry (n tiny
+    in norm) in place of eps ||S||: 4 n^2 tiny.
+
     lam_lo = lambda_min - margin with margin = eps ((m + 1) (sum_i |y_i|
-    ||A_i|| + ||C||) + 4 n ||S||) covers the first twice over and the second
-    with p(n) = 4n.  The bound b^T y + t, t = max(0, -lam_lo) trace_bound,
-    has b^T y within gamma_m |b|^T |y| of exact and three more roundings of
-    relative size u; the pad (m + 3) eps (|b|^T |y| + t) covers them twice
-    over.
+    ||A_i|| + ||C||) + 4 n ||S||) + n (m + 1 + 4 n) tiny covers the
+    relative terms twice over with p(n) = 4n, eigvalsh's absolute term,
+    and the underflow in S and C 2^51 times over.  The bound b^T y + t,
+    t = max(0, -lam_lo) trace_bound, has b^T y within gamma_m |b|^T |y| of
+    exact and three more roundings of relative size u, each product also
+    within tiny u; the pad (m + 3) (eps (|b|^T |y| + t) + tiny) covers them
+    twice over.  So a C whose entries underflowed to subnormal numbers or
+    to zero gets a bound of at least tiny, never one those entries made up.
     """
     m, n = len(y), len(c)
-    eps = np.finfo(float).eps
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     s = aty - c
-    margin = eps * ((m + 1) * (np.abs(y) @ a_norms + np.linalg.norm(c))
-                    + 4 * n * np.linalg.norm(s))
+    margin = (eps * ((m + 1) * (np.abs(y) @ a_norms + np.linalg.norm(c))
+                     + 4 * n * np.linalg.norm(s))
+              + n * (m + 1 + 4 * n) * tiny)
     lam_lo = float(np.linalg.eigvalsh(s)[0] - margin)
     t = max(0.0, -lam_lo) * trace_bound
-    return float(b @ y + t + (m + 3) * eps * (np.abs(b) @ np.abs(y) + t)), lam_lo
+    pad = (m + 3) * (eps * (np.abs(b) @ np.abs(y) + t) + tiny)
+    return float(b @ y + t + pad), lam_lo
 
 
 def solve_sdp(problem: SdpProblem, max_iterations: int = DEFAULT_MAX_ITER,
-              threshold: float | None = None) -> SdpSolution:
+              threshold: float | None = None,
+              dual_point: np.ndarray | None = None) -> SdpSolution:
     """Interior-point solve; ``optimal`` certifies a duality gap of at most
     DEFAULT_TOL relative to 1 + |<C, X>| + |b^T y|, and primal and dual
     residuals of at most TOL_FEAS relative to 1 + ||b|| and 1 + ||C||.
@@ -187,6 +203,12 @@ def solve_sdp(problem: SdpProblem, max_iterations: int = DEFAULT_MAX_ITER,
     Given a ``threshold``, the solve ends with status CERTIFIED at the first
     iterate where that bound is at most the threshold, before the
     optimality test.  The iterates never depend on the threshold.
+
+    A ``dual_point`` y, which needs a finite ``trace_bound``, takes part in
+    the first iterate's check only: the smaller of its bound and the
+    iterate's is kept.  A point that certifies the threshold there ends the
+    solve at iteration 1 with no Newton step; the iterates never depend on
+    it either.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
@@ -207,6 +229,12 @@ def solve_sdp(problem: SdpProblem, max_iterations: int = DEFAULT_MAX_ITER,
 
     certify = math.isfinite(problem.trace_bound)
     bound, lam_bound = math.inf, math.nan
+    if dual_point is not None:
+        if not certify:
+            raise ValueError("a dual point needs a finite trace_bound")
+        bound, lam_bound = _dual_bound(np.tensordot(dual_point, a, axes=1),
+                                       dual_point, b, c, a_norms,
+                                       problem.trace_bound)
 
     def finish(status):
         return SdpSolution(X=x, value=pobj, dual_value=dobj, status=status,

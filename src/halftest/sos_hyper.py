@@ -45,25 +45,31 @@ feasibility tolerance enters an accept.  A sample without such a bound
 is rejected; rejecting is always sound, and numerical trouble can only
 cost completeness.
 
-A reject needs no solve when a witness is at hand: for a unit v the rank-one
+One eigendecomposition of a flattening W of C, whose quadratic form is
+exactly E[<v,x>^4] (``fourth_moment_witness``), settles most samples
+before any Newton step.  Its top eigenvalue mu is a dual point of the
+relaxation in closed form (``flattening_dual_point``), so when mu is at
+most the threshold the solve certifies it at its first check (Hopkins,
+Shi and Steurer's spectral certificate, within the same proof).  A reject
+needs no solve when a witness is at hand: for a unit v the rank-one
 M = psi(v) psi(v)^T is feasible with value E[<v,x>^4], so a v whose
 fourth moment exceeds the threshold, re-scored on the sample with a
-rounding margin, proves that no iterate could have certified it.
-``fourth_moment_witness`` finds v with one eigendecomposition of a
-flattening of C whose quadratic form is exactly E[<v,x>^4], and takes no
-power step.  The witness is a lower bound on the relaxation value
-and the certified bound an upper one, so the verdict is the one the solve
-would give, with a direction that anyone can check against the sample.
+rounding margin, proves that no iterate could have certified it; v is
+W's top eigenvector rounded once.  The witness is a lower bound on the
+relaxation value and the certified bound an upper one, so the verdict is
+the one the solve would give, with a direction that anyone can check
+against the sample.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 
 import numpy as np
 
-from .numerics import check_finite, unit
+from .numerics import check_finite, symmetrize, unit
 from .sdp import CERTIFIED, OPTIMAL, SdpProblem, SdpSolution, solve_sdp
 
 
@@ -114,14 +120,21 @@ def build_degree4_relaxation(c: np.ndarray) -> SdpProblem:
     d = (math.isqrt(8 * n + 1) - 1) // 2
     if d < 1 or c.shape != (n, n) or d * (d + 1) // 2 != n:
         raise ValueError("c must be D x D with D = d(d+1)/2 for some d >= 1")
-    constraints, b = _constraint_stack(d)
-    return SdpProblem(n, c, constraints, b, trace_bound=1.0)
+    problem = copy.copy(_relaxation_template(d)[0])
+    problem.objective = symmetrize(np.asarray(c, dtype=float))
+    return problem
 
 
 @functools.lru_cache(maxsize=4)
-def _constraint_stack(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only (constraints, b) of the relaxation in dimension d,
-    built once per d and shared by every problem of that dimension."""
+def _relaxation_template(d: int) -> tuple[SdpProblem, np.ndarray]:
+    """The relaxation in dimension d with a zero objective, built and
+    validated once per d, and the consistency rows whose later position is
+    a diagonal (ij, ij), i < j (see ``flattening_dual_point``).
+
+    Its read-only constraint stack and b are shared by every problem of
+    that dimension, which copies the template and sets its objective, so
+    ``SdpProblem`` checks the stack only here.
+    """
     n = d * (d + 1) // 2
     pi, pj = np.triu_indices(d)
     ga, gb = np.triu_indices(n)                 # Gram positions, row-major
@@ -145,13 +158,47 @@ def _constraint_stack(d: int) -> tuple[np.ndarray, np.ndarray]:
     b[0] = 1.0
     constraints.flags.writeable = False
     b.flags.writeable = False
-    return constraints, b
+    template = SdpProblem(n, np.zeros((n, n)), constraints, b, trace_bound=1.0)
+    return template, 1 + np.flatnonzero(ga[later] == gb[later])
 
 
-def fourth_moment_witness(points: np.ndarray, c: np.ndarray,
-                          threshold: float) -> tuple[float, np.ndarray] | None:
-    """(value, v): a direction v whose fourth moment on the sample provably
-    exceeds ``threshold``, and that moment E[<v,x>^4] / |v|^4; or None.
+def flattening_dual_point(d: int, mu: float) -> np.ndarray:
+    """The dual point y(mu) of the relaxation in dimension d whose bound is
+    mu whenever mu >= lambda_max(W), W the flattening of
+    ``fourth_moment_witness``.
+
+    y_0 = mu, y_r = 2 (mu - 1) on the consistency rows whose later position
+    is (ij, ij), i < j, and y_r = 0 on the others.  Row r is then
+    E_(ij,ij) - (E_(ii,jj) + E_(jj,ii)) / 2, since the first position of
+    v_i^2 v_j^2 is (ii, jj), and row 0 is e e^T, so
+
+        A^T y = (mu - 1) diag(s^2) + e e^T,
+
+    s = 1 / r (1 on the pairs (i, i), sqrt 2 off them), exactly in floating
+    point when mu - 1 is exact, as it is for 1/2 <= mu <= 2^53.  With
+    diag(s) W diag(s) = C - e e^T + diag(s^2), the dual slack is
+
+        S = A^T y - C = diag(s) (mu I - W) diag(s),
+
+    psd exactly when mu >= lambda_max(W), and b^T y = mu.  So at
+    mu = lambda_max(W) the bound ``sdp._dual_bound`` certifies is mu up to
+    its rounding margin.  For the Gaussian population W = 3 I, and y(3)
+    certifies the exact value 3.
+    """
+    template, diagonal = _relaxation_template(d)
+    y = np.zeros(len(template.b))
+    y[0] = mu
+    y[diagonal] = 2.0 * (mu - 1.0)
+    return y
+
+
+def fourth_moment_witness(
+        points: np.ndarray, c: np.ndarray, threshold: float,
+) -> tuple[float, tuple[float, np.ndarray] | None]:
+    """(mu, witness): mu = lambda_max(W) for the flattening W below, an upper
+    bound on every unit direction's fourth moment, and witness = (value, v),
+    a direction v whose fourth moment on the sample provably exceeds
+    ``threshold`` and that moment E[<v,x>^4] / |v|^4, or None.
 
     ``c`` is the sample's pair-moment matrix.  For unit v, M = psi psi^T is
     feasible for the relaxation with value psi^T C psi = E[<v,x>^4], so a
@@ -168,8 +215,9 @@ def fourth_moment_witness(points: np.ndarray, c: np.ndarray,
 
         psi~(v)^T W psi~(v) = psi(v)^T C psi(v) = E[<v,x>^4].
 
-    Hence no unit v exceeds the threshold when lambda_max(W) <= threshold,
-    and there is no witness (a None only leaves the sample to the solve).
+    Hence no unit v exceeds the threshold when mu <= threshold, and there
+    is no witness (a None only leaves the sample to the solve); the solve
+    can then certify mu at once from ``flattening_dual_point(d, mu)``.
     Otherwise W's top eigenvector z is rounded once: r z folded into a
     symmetric d x d matrix (v v^T when z is psi~(v)) gives v, its
     eigenvector of largest |eigenvalue|.  For the Gaussian population
@@ -207,8 +255,9 @@ def fourth_moment_witness(points: np.ndarray, c: np.ndarray,
     r = np.where(pi == pj, 1.0, math.sqrt(0.5))
     eigenvalues, eigenvectors = np.linalg.eigh(
         r[:, None] * c * r - np.outer(e, e) + np.eye(len(e)))
-    if eigenvalues[-1] <= threshold:
-        return None
+    mu = float(eigenvalues[-1])
+    if mu <= threshold:
+        return mu, None
     fold = np.empty((d, d), dtype=int)      # z[fold]: z as a symmetric matrix
     fold[pi, pj] = fold[pj, pi] = np.arange(len(pi))
     values, vectors = np.linalg.eigh((r * eigenvectors[:, -1])[fold])
@@ -220,12 +269,12 @@ def fourth_moment_witness(points: np.ndarray, c: np.ndarray,
     margin = (np.finfo(float).eps * (2 * n + 6 * d + 10) * fourth
               + np.finfo(float).tiny)
     if not (math.isfinite(value) and value - margin > threshold):
-        return None
-    return value, v
+        return mu, None
+    return mu, (value, v)
 
 
-def solve_relaxation(c: np.ndarray,
-                     threshold: float | None = None) -> tuple[float, SdpSolution]:
+def solve_relaxation(c: np.ndarray, threshold: float | None = None,
+                     mu: float | None = None) -> tuple[float, SdpSolution]:
     """The certified upper bound ``sol.bound`` on the relaxation value, NaN
     unless the solve is ``optimal`` or ``certified``.
 
@@ -234,7 +283,14 @@ def solve_relaxation(c: np.ndarray,
     a threshold the solve stops, with status ``certified``, at the first
     iterate whose bound is at most the threshold; otherwise it runs on as
     without one, and an ``optimal`` solve then has a bound above the
-    threshold.
+    threshold.  Given mu = lambda_max(W) from ``fourth_moment_witness``,
+    the first check also takes the bound of ``flattening_dual_point``, so a
+    threshold of at least mu (up to the rounding margin) is certified at
+    iteration 1; the iterates are the same either way.
     """
-    sol = solve_sdp(build_degree4_relaxation(c), threshold=threshold)
+    problem = build_degree4_relaxation(c)
+    y = None
+    if mu is not None:
+        y = flattening_dual_point((math.isqrt(8 * problem.n + 1) - 1) // 2, mu)
+    sol = solve_sdp(problem, threshold=threshold, dual_point=y)
     return (sol.bound if sol.status in (CERTIFIED, OPTIMAL) else math.nan), sol

@@ -19,9 +19,11 @@ Five testers, all pure functions of (points, parameters):
   acceptance, approximate stationarity of the surrogate loss at w forces
   +-w to be angularly close to the empirical risk minimizer.
 
-The hypercontractivity certificate rejects with a checked witness
-direction when one is found before the SOS solve, and otherwise with the
-solve's certified bound (``hypercontractivity_test``).
+The hypercontractivity certificate accepts at the solve's first check
+when a spectral flattening bound, taken before the SOS solve, is within
+the threshold; rejects with a checked witness direction when one is found
+before the solve; and otherwise decides on the solve's certified bound
+(``hypercontractivity_test``).
 
 Each tester takes the margins |<w, x>| once and projects its slab onto the
 complement of w once; the narrower strips are row subsets of that
@@ -180,22 +182,27 @@ def hypercontractivity_test(points, gamma: float,
     rounded x / gamma, which is exact when gamma is a power of two and no
     entry underflows.
 
-    Before any solve the test looks for a witness (``fourth_moment_witness``):
-    a direction whose fourth moment exceeds the threshold by more than its
-    rounding margin.  It proves that no bound could certify the sample, so
-    the test rejects at once with ``stop_reason`` ``witness``, the checked
-    ``witness_value`` and the ``witness_direction`` v (E[<v,x/gamma>^4] /
-    |v|^4 = witness_value); the verdict is the one the solve would give.
-    Otherwise the solve stops at the first certifying iterate (status
-    ``certified``), or runs on like an unthresholded solve and rejects.  The
-    iterates do not depend on the threshold, so an accept stays an accept
-    as c_hyper grows.  A solved verdict records ``stop_reason`` (the SDP
-    status, or the type of a numerical error), ``iterations``,
-    ``lambda_min_s`` (the lowered lambda_min of the dual slack behind the
-    best bound), and for a certified or optimal solve ``sdp_value`` (the
-    certified upper bound on the relaxation value) and
-    ``slack = threshold - sdp_value``, which is >= 0 exactly when the test
-    accepts.
+    Before any solve one eigendecomposition (``fourth_moment_witness``)
+    gives the flattening bound mu >= E[<v,x/gamma>^4] for every unit v.
+    When mu is at most the threshold, the solve's first check also takes
+    the bound of mu's closed-form dual point (``flattening_dual_point``),
+    so such a sample is certified at iteration 1 with no Newton step.
+    Otherwise the test looks for a witness: a direction whose fourth moment
+    exceeds the threshold by more than its rounding margin.  It proves that
+    no bound could certify the sample, so the test rejects at once with
+    ``stop_reason`` ``witness``, the checked ``witness_value`` and the
+    ``witness_direction`` v (E[<v,x/gamma>^4] / |v|^4 = witness_value); the
+    verdict is the one the solve would give.  Failing both, the solve stops
+    at the first certifying iterate (status ``certified``), or runs on like
+    an unthresholded solve and rejects.  Neither the iterates nor the dual
+    point depend on the threshold, and the point joins the check only when
+    mu is within it, so an accept stays an accept as c_hyper grows.  A
+    solved verdict records ``stop_reason`` (the SDP status, or the type of
+    a numerical error), ``iterations``, ``lambda_min_s`` (the lowered
+    lambda_min of the dual slack behind the best bound), and for a
+    certified or optimal solve ``sdp_value`` (the certified upper bound on
+    the relaxation value) and ``slack = threshold - sdp_value``, which is
+    >= 0 exactly when the test accepts.
     """
     pts = _as_points(points)
     if not (math.isfinite(gamma) and gamma > 0):
@@ -207,13 +214,14 @@ def hypercontractivity_test(points, gamma: float,
     try:
         x = pts / gamma
         moments = check_finite(empirical_fourth_moment_tensor(x))
-        witness = fourth_moment_witness(x, moments, threshold)
+        mu, witness = fourth_moment_witness(x, moments, threshold)
         if witness is not None:
             value, v = witness
             diag.update(stop_reason=WITNESS, witness_value=value,
                         witness_direction=v.tolist())
             return TesterVerdict(accepted=False, diagnostics=diag)
-        value, sol = solve_relaxation(moments, threshold=threshold)
+        value, sol = solve_relaxation(moments, threshold=threshold,
+                                      mu=mu if mu <= threshold else None)
     except (np.linalg.LinAlgError, NonFiniteError) as exc:
         diag["stop_reason"] = type(exc).__name__
         return TesterVerdict(accepted=False, diagnostics=diag)

@@ -127,7 +127,7 @@ def test_readme_calibration_example(tmp_path, capsys):
     assert f"{diag['spectral_upper_threshold']:.3f}" == "0.178"
     assert f"{diag['half_strip_operator_norm']:.1e}" == "9.2e-04"
     assert diag["hyper_threshold"] == 9
-    assert f"{diag['hyper_sdp_value']:.2f}" == "7.46"
+    assert f"{diag['hyper_sdp_value']:.2f}" == "4.80"
 
 
 def test_unknown_tester_exit_code(tmp_path, gauss_csv):
@@ -513,6 +513,9 @@ STATIONARY_CFG = {"tester": "stationary", "w": [1.0, 0.0], "sigma": 0.1,
                   "eta": 0.1}
 STUDENT_T_CFG = {"marginal": {"kind": "student_t", "dim": 2, "nu": 3},
                  "n": 10, "seed": 1}
+STRUCTURAL_CFG = {"check": "structural", "target": [0, 1], "instances": 2}
+LINE_MASS_CFG = {"marginal": {"kind": "line_mass", "dim": 2, "direction": [1, 1]},
+                 "n": 10, "seed": 1}
 MASSART_CFG = dict(KEY_CHECK_CFGS["sample"],
                    noise={"kind": "massart", "eta": 0.1, "target": "e1"})
 # (command, config, section path, key, value): one key family per group
@@ -543,6 +546,11 @@ WRONG_NUMBERS = [
     ("oracle", {"check": "gradient"}, (), "directions", 2.5),
     ("oracle", {"check": "structural"}, (), "instances", True),
     ("oracle", {"check": "strip-stats"}, (), "offset", True),
+    # vectors: every entry must be a number
+    ("sample", KEY_CHECK_CFGS["sample"], ("noise",), "target", [True, 0]),
+    ("oracle", STRUCTURAL_CFG, (), "target", [1, "0"]),
+    ("test", STRIP_CFG, (), "w", [True, 0]),
+    ("sample", LINE_MASS_CFG, ("marginal",), "direction", [True, False]),
 ]
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from halftest.sdp import (MAX_ITERATIONS, OPTIMAL, TOL_FEAS, SdpProblem,
-                          _max_step, _nt_scaling, solve_sdp)
+                          _dual_bound, _max_step, _nt_scaling, solve_sdp)
 from halftest.sos_hyper import (build_degree4_relaxation,
-                                empirical_fourth_moment_tensor)
+                                empirical_fourth_moment_tensor,
+                                flattening_dual_point, fourth_moment_witness)
 
 TOL_PSD = 1e-7
 
@@ -304,3 +305,52 @@ def test_one_factorization_per_iteration(monkeypatch):
         assert sol.optimal and steps > 5
         assert calls == {"cholesky": steps, "eigh": steps,
                          "eigvalsh": 4 * steps + bounds, "solve": steps}
+
+
+def test_dual_point_joins_only_the_first_check():
+    # the point's bound competes with the first iterate's; the iterates and
+    # every later bound are those of the solve without it
+    pts = np.random.default_rng(15).standard_normal((300, 3))
+    c = empirical_fourth_moment_tensor(pts)
+    prob = build_degree4_relaxation(c)
+    a, m = prob.constraints, len(prob.b)
+    norms = np.linalg.norm(a.reshape(m, -1), axis=1)
+    plain = solve_sdp(prob)
+    first = solve_sdp(prob, max_iterations=1)
+    flattening = flattening_dual_point(3, fourth_moment_witness(pts, c, math.inf)[0])
+    wins = []
+    for y in (flattening, np.random.default_rng(16).standard_normal(m),
+              1e3 * np.random.default_rng(17).standard_normal(m)):
+        point = solve_sdp(prob, dual_point=y)
+        assert np.array_equal(point.X, plain.X)
+        assert point.iterations == plain.iterations
+        assert point.bound == plain.bound
+        ub, _ = _dual_bound(np.tensordot(y, a, axes=1), y, prob.b,
+                            prob.objective, norms, prob.trace_bound)
+        cut = solve_sdp(prob, max_iterations=1, dual_point=y)
+        assert cut.bound == min(ub, first.bound)
+        wins.append(ub < first.bound)
+    assert wins == [True, False, False]
+    with pytest.raises(ValueError):
+        solve_sdp(dataclasses.replace(prob, trace_bound=math.inf), dual_point=y)
+
+
+def test_dual_bound_has_an_absolute_term_for_underflow():
+    # the pair products of 2^-300 x underflow to zero, so C computes as 0
+    # while the sample's fourth moments are positive: the bound at y = 0 was
+    # 0.  At 2^-266 they are subnormal, a few thousand units in the last
+    # place, and the bound must still cover the rescaled relaxation value
+    pts = np.random.default_rng(17).standard_normal((2000, 3))
+    value = solve_sdp(build_degree4_relaxation(
+        empirical_fourth_moment_tensor(pts))).bound
+    for k in (266, 300):
+        c = empirical_fourth_moment_tensor(pts * 2.0**-k)
+        assert np.all(np.abs(c) < np.finfo(float).tiny)
+        prob = build_degree4_relaxation(c)
+        m = len(prob.b)
+        norms = np.linalg.norm(prob.constraints.reshape(m, -1), axis=1)
+        ub, lam = _dual_bound(np.zeros_like(c), np.zeros(m), prob.b, c, norms,
+                              prob.trace_bound)
+        # the rescaled value, 0.0 in floating point at k = 300, is positive
+        assert ub >= value * 2.0**(-4 * k) and ub > 0.0
+        assert ub >= np.finfo(float).tiny and lam < 0.0

@@ -9,10 +9,11 @@ from halftest.distributions import MarginalSpec, sample_marginal
 from halftest.errors import NonFiniteError, PreconditionError
 from halftest.oracle import brute_force_max_fourth_moment, fourth_moment_tensor
 from halftest.sdp import MAX_ITERATIONS, SdpSolution, _dual_bound, solve_sdp
-from halftest import sos_hyper
+from halftest import sdp, sos_hyper
 from halftest.sos_hyper import (build_degree4_relaxation,
                                 empirical_fourth_moment_tensor,
-                                fourth_moment_witness, solve_relaxation)
+                                flattening_dual_point, fourth_moment_witness,
+                                solve_relaxation)
 from halftest.testers import hypercontractivity_test
 
 
@@ -451,7 +452,8 @@ def test_no_witness_search_below_the_top_eigenvalue(monkeypatch):
     assert top < 9.0
 
     monkeypatch.setattr(sos_hyper, "unit", _rounded)
-    assert fourth_moment_witness(pts, c, top * (1.0 + 1e-12)) is None
+    mu, witness = fourth_moment_witness(pts, c, top * (1.0 + 1e-12))
+    assert witness is None and mu == pytest.approx(top, rel=1e-13)
     with pytest.raises(_Rounded):
         fourth_moment_witness(pts, c, top * (1.0 - 1e-9))
     verdict = hypercontractivity_test(pts, 1.0, 10.0)
@@ -482,7 +484,7 @@ def test_witness_skips_only_thresholds_no_direction_reaches(monkeypatch):
         c = empirical_fourth_moment_tensor(pts)
         with pytest.raises(_Rounded):
             fourth_moment_witness(pts, c, top * (1.0 - 1e-9))
-        assert fourth_moment_witness(pts, c, 1.25 * top) is None
+        assert fourth_moment_witness(pts, c, 1.25 * top)[1] is None
 
 
 def test_witness_clears_the_threshold_by_its_rounding_margin():
@@ -491,12 +493,12 @@ def test_witness_clears_the_threshold_by_its_rounding_margin():
     pts = _spiked(35)
     n, d = pts.shape
     c = empirical_fourth_moment_tensor(pts)
-    value, v = fourth_moment_witness(pts, c, 9.0)
+    _, (value, v) = fourth_moment_witness(pts, c, 9.0)
     squares = [i * d - i * (i - 1) // 2 for i in range(d)]
     fourth = np.sum(c[np.ix_(squares, squares)])
     margin = np.finfo(float).eps * (2 * n + 6 * d + 10) * fourth
-    assert fourth_moment_witness(pts, c, value - 0.5 * margin) is None
-    again, same = fourth_moment_witness(pts, c, value - 2.0 * margin)
+    assert fourth_moment_witness(pts, c, value - 0.5 * margin)[1] is None
+    _, (again, same) = fourth_moment_witness(pts, c, value - 2.0 * margin)
     assert again == value and np.array_equal(same, v)
 
 
@@ -505,7 +507,7 @@ def test_rounded_witness_clears_a_threshold_near_the_relaxation_value():
     # eigenvector of W is a witness at 6
     pts = sample_marginal(MarginalSpec("product_laplace", 4), 5_000, seed=37)
     c = empirical_fourth_moment_tensor(pts)
-    value, _ = fourth_moment_witness(pts, c, 6.0)
+    _, (value, _) = fourth_moment_witness(pts, c, 6.0)
     assert 6.0 < value <= solve_relaxation(c)[0]
 
 
@@ -626,3 +628,87 @@ def test_hypercontractivity_accept_is_monotone_in_c_hyper():
         assert not accepted[0]
         iterations = [v.diagnostics["iterations"] for v in verdicts if v.accepted]
         assert iterations == sorted(iterations, reverse=True)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_flattening_dual_point_has_a_closed_form_slack(d):
+    # A^T y(mu) = (mu - 1) diag(s^2) + e e^T bit for bit, and b^T y = mu
+    pi, pj = np.triu_indices(d)
+    s2 = np.where(pi == pj, 1.0, 2.0)
+    e = (pi == pj).astype(float)
+    prob = build_degree4_relaxation(np.eye(len(e)))
+    for mu in (1.0, 3.0, 4.146, 9.0, 1e6 + 0.25):
+        y = flattening_dual_point(d, mu)
+        assert np.count_nonzero(y) == (1 if mu == 1.0 else 1 + d * (d - 1) // 2)
+        assert np.array_equal(np.tensordot(y, prob.constraints, axes=1),
+                              (mu - 1.0) * np.diag(s2) + np.outer(e, e))
+        assert prob.b @ y == mu
+
+
+def _criterion_04_samples():
+    """The 50 datasets of criterion 04."""
+    rng = np.random.default_rng(40)
+    for trial in range(50):
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(5, 201))
+        scale = rng.uniform(0.3, 2.0)
+        kind = ("standard_gaussian", "product_laplace", "uniform_cube",
+                "student_t")[trial % 4]
+        spec = MarginalSpec(kind, d, nu=3 if kind == "student_t" else None)
+        yield sample_marginal(spec, n, seed=400 + trial) * scale
+
+
+def _benchmark_families():
+    """One sample of each family of the sos-hyper benchmark workload (seed 1,
+    n = 20000): Gaussian d=8, cube d=7, Laplace d=6, Student-t nu=3 d=6 and
+    a Gaussian d=6 with 1% of its points moved to +-10 e1."""
+    specs = (MarginalSpec("standard_gaussian", 8), MarginalSpec("uniform_cube", 7),
+             MarginalSpec("product_laplace", 6), MarginalSpec("student_t", 6, nu=3),
+             MarginalSpec("standard_gaussian", 6))
+    for index, spec in enumerate(specs):
+        pts = sample_marginal(spec, 20_000, seed=1, stream_id=60 + index)
+        if index == 4:
+            gen = np.random.default_rng([1, 60 + index])
+            mask = gen.random(len(pts)) < 0.01
+            pts[mask] = 0.0
+            pts[mask, 0] = np.where(gen.random(int(mask.sum())) < 0.5, 10.0, -10.0)
+        yield pts
+
+
+@pytest.mark.parametrize("samples", [_criterion_04_samples, _benchmark_families],
+                         ids=["criterion_04", "benchmark_families"])
+def test_flattening_bound_dominates_the_relaxation_optimum(samples):
+    # y(mu) at mu = lambda_max(W) is a dual point of the relaxation, so its
+    # certified bound is at least the optimum, and it is certified at once
+    for pts in samples():
+        c = empirical_fourth_moment_tensor(pts)
+        d = pts.shape[1]
+        mu, witness = fourth_moment_witness(pts, c, math.inf)
+        assert witness is None
+        value, sol = solve_relaxation(c)
+        assert sol.optimal
+        prob = build_degree4_relaxation(c)
+        y = flattening_dual_point(d, mu)
+        a = prob.constraints
+        ub, _ = _dual_bound(np.tensordot(y, a, axes=1), y, prob.b, c,
+                            np.linalg.norm(a.reshape(len(a), -1), axis=1),
+                            prob.trace_bound)
+        assert ub >= value and ub == pytest.approx(mu, rel=1e-9)
+        bound, early = solve_relaxation(c, threshold=ub, mu=mu)
+        assert early.status == "certified" and early.iterations == 1
+        assert value <= bound <= ub
+
+
+@pytest.mark.parametrize("seed", [0, 15, 16])
+def test_gaussian_d8_accepts_without_a_newton_step(monkeypatch, seed):
+    def no_step(*args):
+        raise AssertionError("a Newton step was taken")
+
+    monkeypatch.setattr(sdp, "_nt_scaling", no_step)
+    pts = sample_marginal(MarginalSpec("standard_gaussian", 8), 20_000,
+                          seed=seed, stream_id=60)
+    verdict = hypercontractivity_test(pts, 1.0, 10.0)
+    assert verdict.accepted
+    assert verdict.diagnostics["stop_reason"] == "certified"
+    assert verdict.diagnostics["iterations"] == 1
+    assert verdict.diagnostics["sdp_value"] < 4.0
