@@ -250,27 +250,18 @@ def label_dataset(points: np.ndarray, noise: NoiseModel, seed: int,
         raise DimMismatchError("noise target dimension does not match points")
     clean = sign_pm1(points @ w_star)
     gen = rng.stream(seed, stream_id)
-
+    n = points.shape[0]
     if noise.kind == "clean":
-        return Dataset(points, clean)
-
-    if noise.kind == "massart":
-        etas = noise.flip_probabilities(points)
-        flips = gen.random(points.shape[0]) < etas
-        labels = np.where(flips, -clean, clean).astype(np.int8)
-        return Dataset(points, labels)
-
-    # agnostic
-    if noise.rule == "boundary_flip":
-        margins = np.abs(points @ w_star)
-        flips = margins <= noise.width
-        labels = np.where(flips, -clean, clean).astype(np.int8)
+        flips = np.zeros(n, dtype=bool)
+    elif noise.kind == "massart":
+        flips = gen.random(n) < noise.flip_probabilities(points)
+    elif noise.rule == "boundary_flip":
+        flips = np.abs(points @ w_star) <= noise.width
     elif noise.rule == "random_flip":
-        flips = gen.random(points.shape[0]) < noise.flip_prob
-        labels = np.where(flips, -clean, clean).astype(np.int8)
+        flips = gen.random(n) < noise.flip_prob
     else:
         raise UnknownKindError(f"unknown agnostic rule {noise.rule!r}")
-    return Dataset(points, labels)
+    return Dataset(points, np.where(flips, -clean, clean).astype(np.int8))
 
 
 def empirical_error(w: np.ndarray, ds: Dataset) -> float:

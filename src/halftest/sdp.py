@@ -39,7 +39,7 @@ detected; such a problem ends ``max_iterations``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +69,8 @@ class SdpProblem:
     ``trace_bound`` states that tr X <= trace_bound on the feasible set; it
     is a fact about the problem that makes ``solve_sdp`` certify an upper
     bound on the optimum at every iterate, not a solver option.
+    ``constraint_norms`` holds the Frobenius norms ||A_i||, computed once
+    from the stack on construction; a copy of the problem shares them.
     """
 
     n: int
@@ -76,6 +78,7 @@ class SdpProblem:
     constraints: np.ndarray
     b: np.ndarray
     trace_bound: float = math.inf
+    constraint_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.objective = symmetrize(np.asarray(self.objective, dtype=float))
@@ -87,6 +90,8 @@ class SdpProblem:
         if not np.array_equal(a, a.transpose(0, 2, 1)):
             a = (a + a.transpose(0, 2, 1)) / 2.0
         self.constraints = a
+        self.constraint_norms = np.linalg.norm(a.reshape(len(a), self.n * self.n),
+                                               axis=1)
         self.b = check_finite(np.asarray(self.b, dtype=float))
         if self.b.shape != (len(a),):
             raise ValueError("b must have one entry per constraint")
@@ -214,13 +219,13 @@ def solve_sdp(problem: SdpProblem, max_iterations: int = DEFAULT_MAX_ITER,
         raise ValueError("max_iterations must be positive")
     n = problem.n
     a, b, c = problem.constraints, problem.b, problem.objective
+    a_norms = problem.constraint_norms
     m = len(a)
     a_flat = a.reshape(m, n * n)                    # A(X) = a_flat @ X.ravel()
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
 
     # infeasible start: X = rho_p I, S = rho_d I scaled from the data
-    a_norms = np.linalg.norm(a_flat, axis=1)
     rho_p = max(1.0, float(np.max((1.0 + np.abs(b)) / (1.0 + a_norms)))) * math.sqrt(n)
     rho_d = max(1.0, np.linalg.norm(c) / math.sqrt(n), float(np.max(a_norms)))
     x = rho_p * np.eye(n)

@@ -131,9 +131,10 @@ def _relaxation_template(d: int) -> tuple[SdpProblem, np.ndarray]:
     validated once per d, and the consistency rows whose later position is
     a diagonal (ij, ij), i < j (see ``flattening_dual_point``).
 
-    Its read-only constraint stack and b are shared by every problem of
-    that dimension, which copies the template and sets its objective, so
-    ``SdpProblem`` checks the stack only here.
+    Its read-only constraint stack, the stack's row norms and b are shared
+    by every problem of that dimension, which copies the template and sets
+    its objective, so ``SdpProblem`` checks the stack and takes its norms
+    only here.
     """
     n = d * (d + 1) // 2
     pi, pj = np.triu_indices(d)
@@ -159,6 +160,7 @@ def _relaxation_template(d: int) -> tuple[SdpProblem, np.ndarray]:
     constraints.flags.writeable = False
     b.flags.writeable = False
     template = SdpProblem(n, np.zeros((n, n)), constraints, b, trace_bound=1.0)
+    template.constraint_norms.flags.writeable = False
     return template, 1 + np.flatnonzero(ga[later] == gb[later])
 
 

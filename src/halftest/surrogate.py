@@ -198,28 +198,17 @@ def gradient_norms(ws: np.ndarray, ds: Dataset, p: RampParams) -> np.ndarray:
     through one ``_Slab``, so a PSGD trajectory rebuilds its rows where PSGD
     did, and takes each gradient with ``_band_gradient``; a line mass
     through w gives exactly 0 (see above).
-
-    A row bitwise equal to the row before it reuses that row's norm: the
-    slab hands a repeated w the rows it handed the first (see ``psgd``), so
-    the gradient is the same.  The rows are compared as bits, since ``==``
-    equates -0.0 and 0.0.  So a trajectory that PSGD ended at a fixed point
-    is scored once per distinct iterate, with the norms of scoring them all.
     """
     ws = check_finite(np.atleast_2d(ws))
     if ws.ndim != 2 or ws.shape[1] != ds.dim:
         raise DimMismatchError(f"ws has shape {ws.shape}, dataset dim {ds.dim}")
     if np.any(np.abs(np.linalg.norm(ws, axis=1) - 1.0) > UNIT_TOL):
         raise PreconditionError("every row of ws must be a unit vector")
-    bits = ws.view(np.uint64)
-    repeats = np.zeros(len(ws), dtype=bool)
-    repeats[1:] = np.all(bits[1:] == bits[:-1], axis=1)
     slab = _Slab(ds, p.sigma)
     norms = []
-    for w, repeat in zip(ws, repeats):
-        if not repeat:
-            g = _band_gradient(slab.rows(w), w, p)
-            norm = math.sqrt(g @ g)
-        norms.append(norm)
+    for w in ws:
+        g = _band_gradient(slab.rows(w), w, p)
+        norms.append(math.sqrt(g @ g))
     return np.array(norms) / ds.n
 
 
@@ -263,24 +252,26 @@ class PsgdConfig:
 
 def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
          w0: Optional[np.ndarray] = None) -> list[np.ndarray]:
-    """All T+1 iterates of projected SGD on the surrogate loss.
+    """The iterates of projected SGD on the surrogate loss, w0 first.
 
     Starts at w0 (or a seeded uniform point on the sphere), renormalizes
     exactly after every step, and is deterministic given (cfg.seed, w0).
 
     Every step takes ``_band_gradient / batch`` over a batch drawn with
     replacement, or over the rows of a ``_Slab`` for full-batch steps.
+    Mini-batch steps draw a new batch every time and return all T+1
+    iterates.
 
     A full-batch step that returns its input bit for bit has reached a
-    fixed point: the remaining iterates are that vector and are not
-    computed.  A step reads only w, the slab's ``w_ref`` and its rows
-    ``yx``.  If the new w repeats the old one, ``_Slab.rows`` hands the next
-    step the same ``yx`` without a rebuild, since its shift from ``w_ref``
-    is 0 (rebuilt at the old w) or the shift the old w already passed with;
-    so every later step repeats this one exactly.  The vectors are compared
-    as bytes, since ``==`` equates -0.0 and 0.0, and the sign of a zero
-    entry can carry into the next iterate.  Mini-batch steps draw a new
-    batch every time and never stop early.
+    fixed point and ends the run, so the list holds only the iterates
+    computed, at most T+1: the fixed point is the last.  Every step not
+    taken would return it again.  A step reads only w, the slab's ``w_ref``
+    and its rows ``yx``.  If the new w repeats the old one, ``_Slab.rows``
+    hands the next step the same ``yx`` without a rebuild, since its shift
+    from ``w_ref`` is 0 (rebuilt at the old w) or the shift the old w
+    already passed with; so every later step repeats this one exactly.  The
+    vectors are compared as bytes, since ``==`` equates -0.0 and 0.0, and
+    the sign of a zero entry can carry into the next iterate.
     """
     gen = rng.stream(cfg.seed, rng.STREAM_PSGD)
     if w0 is None:
@@ -292,14 +283,13 @@ def psgd(ds: Dataset, p: RampParams, cfg: PsgdConfig,
     full_batch = cfg.batch_size is None or cfg.batch_size >= ds.n
     denom = ds.n if full_batch else cfg.batch_size
     slab = _Slab(ds, p.sigma) if full_batch else None
-    for step in range(cfg.iterations):
+    for _ in range(cfg.iterations):
         if full_batch:
             yx = slab.rows(w)
         else:
             yx = _signed_rows(ds, gen.integers(0, ds.n, size=cfg.batch_size))
         w_next = unit(w - beta * (_band_gradient(yx, w, p) / denom))
         if full_batch and w_next.tobytes() == w.tobytes():
-            iterates.extend([w] * (cfg.iterations - step))
             break
         w = w_next
         iterates.append(w)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from halftest import cli
 from halftest.cli import main
-from halftest.distributions import NoiseModel, load_dataset
+from halftest.distributions import Dataset, NoiseModel, load_dataset, to_binary
 from halftest.learner import LearnerConfig
 from halftest.testers import TesterConfig
 
@@ -733,3 +734,77 @@ def test_readme_configs_pass_the_config_readers():
         cli.read_config(command, cfg)
         commands.append(command)
     assert sorted(set(commands)) == ["learn", "oracle", "sample", "test"]
+
+
+GOOD_HTDS = to_binary(Dataset([[0.5, 1.0], [-0.2, 0.3]], [1, -1]))
+# name -> (file contents, the refusal's message)
+BAD_DATASET_FILES = {
+    "empty_csv": (b"", "empty CSV"),
+    "bad_header": (b"x1,x3,y\n0.5,1.0,1\n", "bad CSV header"),
+    "no_label_column": (b"x1,x2\n0.5,1.0\n", "bad CSV header"),
+    "short_row": (b"x1,x2,y\n0.5,1.0,1\n0.3,-1\n", "row 1 has 2 fields"),
+    "no_rows": (b"x1,x2,y\n", "nonempty"),
+    "truncated_header": (GOOD_HTDS[:10], "truncated HTDS header"),
+    "bad_version": (GOOD_HTDS[:4] + struct.pack("<I", 2) + GOOD_HTDS[8:],
+                    "unsupported HTDS version 2"),
+    "truncated_file": (GOOD_HTDS[:-1], "truncated HTDS file"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DATASET_FILES))
+def test_malformed_dataset_file_is_a_config_error(tmp_path, capsys, name):
+    data = tmp_path / "data.bin"
+    data.write_bytes(BAD_DATASET_FILES[name][0])
+    cfg = write_config(tmp_path, "t.json", STRIP_CFG)
+    assert main(["test", str(data), "--config", cfg]) == 2
+    assert BAD_DATASET_FILES[name][1] in capsys.readouterr().err
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([LEARN_CFG], "learn config must be a JSON object"),
+    (dict(LEARN_CFG, marginal=["two_point_mass"]),
+     "marginal config must be a JSON object"),
+    (_without(LEARN_CFG, "learner"), "needs a 'learner' section"),
+    (_without(LEARN_CFG, "marginal"), "needs a 'marginal' section"),
+    (_without(LEARN_CFG, "noise"), "needs a 'noise' section"),
+    (dict(LEARN_CFG, trials=0), "trials must be >= 1")])
+def test_malformed_learn_config_is_a_config_error(tmp_path, capsys, payload,
+                                                  message):
+    cfg = write_config(tmp_path, "l.json", payload)
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config"), ('{"tester": "strip",', "is not valid JSON")])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, gauss_csv, text,
+                                             message):
+    path = tmp_path / "t.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["test", gauss_csv, "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"tester": "strip", "sigma": 0.1}, "needs a unit vector 'w'"),
+    ({"tester": "strip", "sigma": 0.1, "w": [1.0, 0.0]},
+     "w dimension does not match"),
+    ({"tester": "stationary", "sigma": 0.01, "w": [1.0, 0.0, 0.0, 0.0]},
+     "w dimension does not match")])
+def test_tester_w_missing_or_of_the_wrong_dimension_is_a_config_error(
+        tmp_path, capsys, gauss_csv, payload, message):
+    cfg = write_config(tmp_path, "t.json", payload)
+    assert main(["test", gauss_csv, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_atomic_write_removes_its_temporary_file_when_the_write_fails(tmp_path):
+    with pytest.raises(TypeError):
+        cli.atomic_write(str(tmp_path / "out.csv"), 5)  # a str file takes no int
+    assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,7 @@ from halftest.distributions import (CLAIMED, Dataset, MarginalSpec,
                                     NoiseModel, empirical_error, from_binary,
                                     from_csv, label_dataset, sample_marginal,
                                     sign_pm1, to_binary, to_csv)
-from halftest.errors import UnknownKindError
+from halftest.errors import DimMismatchError, UnknownKindError
 
 GAUSS2 = MarginalSpec("standard_gaussian", 2)
 
@@ -232,3 +232,57 @@ def test_dataset_row_norms_are_cached_norms_of_the_points():
     norms = ds.row_norms
     assert np.array_equal(norms, np.linalg.norm(pts, axis=1))
     assert ds.row_norms is norms
+
+
+E1 = (1.0, 0.0)
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"kind": "adversarial", "target": E1}, UnknownKindError, "noise kind"),
+    ({"kind": "clean", "target": (1.0, 1.0)}, ValueError, "unit vector"),
+    ({"kind": "massart", "target": (0.0, 0.0), "eta": 0.1}, ValueError,
+     "unit vector")])
+def test_noise_model_refuses_a_bad_kind_or_target(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        NoiseModel(**kwargs)
+
+
+@pytest.mark.parametrize("noise, error, message", [
+    (NoiseModel("massart", E1, eta=0.1, profile="far_from_boundary"),
+     UnknownKindError, "massart profile"),
+    (NoiseModel("agnostic", E1, rule="flip_everything"), UnknownKindError,
+     "agnostic rule"),
+    (NoiseModel("clean", (1.0, 0.0, 0.0)), DimMismatchError, "target dimension")])
+def test_label_dataset_refuses_an_unknown_rule_or_a_target_mismatch(
+        noise, error, message):
+    pts = sample_marginal(GAUSS2, 50, seed=3)
+    with pytest.raises(error, match=message):
+        label_dataset(pts, noise, seed=3)
+
+
+@pytest.mark.parametrize("kind", ["clean", "agnostic"])
+def test_flip_probabilities_are_only_for_massart_noise(kind):
+    with pytest.raises(ValueError, match="defined for massart"):
+        NoiseModel(kind, E1).flip_probabilities(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("points, labels, error, message", [
+    (np.ones((3, 2)), [1, 1], DimMismatchError, "length-n"),
+    (np.ones((3, 2)), np.ones((3, 1)), DimMismatchError, "length-n"),
+    (np.ones(3), [1, 1, 1], ValueError, "nonempty \\(n, d\\)"),
+    (np.empty((0, 2)), [], ValueError, "nonempty \\(n, d\\)")])
+def test_dataset_refuses_points_or_labels_of_the_wrong_shape(points, labels,
+                                                             error, message):
+    with pytest.raises(error, match=message):
+        Dataset(points, labels)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_marginal_refuses_n_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_marginal(GAUSS2, n, seed=0)
+
+
+def test_from_binary_refuses_a_bad_magic():
+    with pytest.raises(ValueError, match="bad magic"):
+        from_binary(b"HTDX" + to_binary(Dataset(np.ones((2, 2)), [1, -1]))[4:])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -350,7 +351,8 @@ def test_reject_at_a_fixed_start_takes_one_step_and_one_score(monkeypatch,
                                                               kind, kwargs):
     # criterion 13's start is an exact fixed point of full-batch PSGD: one
     # gradient in PSGD and one in the filter give the outcome that taking
-    # all 150 steps and scoring all 151 iterates one by one gives
+    # all 150 steps and scoring all 151 iterates one by one gives, but for
+    # the count of iterates in the trace
     def run():
         return universal_tester_learner(boundary_flip_source(kind, 1300, **kwargs),
                                         agnostic_config(), seed=1300)
@@ -382,7 +384,11 @@ def test_reject_at_a_fixed_start_takes_one_step_and_one_score(monkeypatch,
     out = run()
     assert calls == ["psgd", "filter"]
     assert out.stage == "stationary_test"
-    assert out.to_json() == reference.to_json()
+    got, want = json.loads(out.to_json()), json.loads(reference.to_json())
+    ((sigma, info),) = got["trace"]["per_sigma"].items()
+    assert info.pop("iterates") == 1
+    assert want["trace"]["per_sigma"][sigma].pop("iterates") == 151
+    assert got == want
 
 
 def test_tester_reject_precedes_a_later_gradient_filter_reject(monkeypatch):
@@ -511,3 +517,13 @@ def test_equivariant_init_falls_back_to_e1_on_a_zero_sum():
     x = np.array([0.3, -1.2, 2.0])
     ds = Dataset(np.stack([x, -x]), np.array([1, 1]))
     assert np.array_equal(equivariant_init(ds), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"noise": "random"}, "noise must be"),
+    ({"noise": "massart", "eta": None}, "massart requires eta"),
+    ({"noise": "massart", "eta": 0.5}, "massart requires eta"),
+    ({"noise": "massart", "eta": -0.1}, "massart requires eta")])
+def test_learner_config_refuses_a_bad_noise_or_massart_eta(changes, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(agnostic_config(), **changes)

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from halftest.errors import NonFiniteError
 from halftest.numerics import (householder_basis, min_eigenvalue,
-                               operator_norm, project_orthogonal, unit)
+                               operator_norm, project_orthogonal, symmetrize,
+                               unit)
 
 
 def test_unit_matches_linalg_norm_bit_for_bit():
@@ -126,3 +127,14 @@ def test_projection_batch_matches_single(coords):
     batch = project_orthogonal(w, xs)
     for i in range(4):
         assert np.allclose(batch[i], project_orthogonal(w, xs[i]))
+
+
+@pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
+def test_symmetrize_refuses_a_matrix_that_is_not_square(m):
+    with pytest.raises(ValueError, match="square matrix"):
+        symmetrize(m)
+
+
+def test_householder_basis_refuses_dimension_one():
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        householder_basis(np.array([1.0]))

@@ -300,3 +300,32 @@ def test_gaussian_strip_stats_values():
     assert out["strip_second_moment"] == out["strip_probability"]
     assert abs(out["cross_fourth_moment"] - 1.5) < 1e-15
     assert out["offset_strip_second_moment"] < out["strip_probability"]
+
+
+@pytest.mark.parametrize("points", [np.empty((0, 3)), np.ones(3)])
+def test_brute_force_refuses_an_empty_sample(points):
+    with pytest.raises(ValueError, match="nonempty"):
+        brute_force_max_fourth_moment(points)
+
+
+def test_gradient_lower_bound_terms_refuse_a_bad_angle_or_alpha():
+    ds = Dataset(sample_marginal(MarginalSpec("standard_gaussian", 2), 500,
+                                 seed=61), np.ones(500))
+    e1 = np.array([1.0, 0.0])
+    for w in (e1, np.array([0.0, 1.0]), np.array([-0.6, 0.8])):
+        with pytest.raises(DegenerateAngleError, match="must lie in"):
+            gradient_lower_bound_terms(ds, w, e1, 0.1, 1.0)
+    # at 45 degrees alpha must be at least sigma / 2
+    w = unit(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="alpha must be at least"):
+        gradient_lower_bound_terms(ds, w, e1, 0.1, 0.04)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_exact_erm_in_dimension_one_picks_the_orientation(sign):
+    x = sample_marginal(MarginalSpec("standard_gaussian", 1), 200, seed=62)
+    labels = np.where(sign * x[:, 0] >= 0, 1, -1)
+    labels[:10] = -labels[:10]
+    w, err = erm_halfspace(Dataset(x, labels), mode="exact")
+    assert w.tolist() == [sign]
+    assert err == empirical_error(w, Dataset(x, labels)) == 0.05

@@ -348,9 +348,23 @@ def test_dual_bound_has_an_absolute_term_for_underflow():
         assert np.all(np.abs(c) < np.finfo(float).tiny)
         prob = build_degree4_relaxation(c)
         m = len(prob.b)
-        norms = np.linalg.norm(prob.constraints.reshape(m, -1), axis=1)
-        ub, lam = _dual_bound(np.zeros_like(c), np.zeros(m), prob.b, c, norms,
-                              prob.trace_bound)
+        ub, lam = _dual_bound(np.zeros_like(c), np.zeros(m), prob.b, c,
+                              prob.constraint_norms, prob.trace_bound)
         # the rescaled value, 0.0 in floating point at k = 300, is positive
         assert ub >= value * 2.0**(-4 * k) and ub > 0.0
         assert ub >= np.finfo(float).tiny and lam < 0.0
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"objective": np.eye(2)}, "objective must be n x n"),
+    ({"objective": np.eye(4)}, "objective must be n x n"),
+    ({"b": [1.0]}, "one entry per constraint"),
+    ({"b": [1.0, 0.0, 0.0]}, "one entry per constraint"),
+    ({"trace_bound": -1.0}, "trace_bound must be nonnegative"),
+    ({"trace_bound": math.nan}, "trace_bound must be nonnegative")])
+def test_sdp_problem_refuses_bad_shapes_and_trace_bounds(changes, message):
+    fields = dict(n=3, objective=np.eye(3),
+                  constraints=np.stack([np.eye(3), np.diag([1.0, -1.0, 0.0])]),
+                  b=[1.0, 0.0])
+    with pytest.raises(ValueError, match=message):
+        SdpProblem(**dict(fields, **changes))

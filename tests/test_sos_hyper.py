@@ -128,12 +128,53 @@ def test_constraint_stack_is_built_once_per_dimension():
     first = build_degree4_relaxation(np.eye(21))
     second = build_degree4_relaxation(2.0 * np.eye(21))
     assert first.constraints is second.constraints and first.b is second.b
+    assert first.constraint_norms is second.constraint_norms
     assert not first.constraints.flags.writeable
+    assert not first.constraint_norms.flags.writeable
     with pytest.raises(ValueError):
         first.constraints[0, 0, 0] = 2.0
     with pytest.raises(ValueError):
         first.b[0] = 2.0
     assert first.constraints[0, 0, 0] == 1.0 and first.b[0] == 1.0
+
+
+def test_solve_takes_no_norm_of_the_constraint_stack(monkeypatch):
+    # the norms ||A_i|| are taken once, when the stack is built
+    prob = build_degree4_relaxation(empirical_fourth_moment_tensor(
+        np.random.default_rng(18).standard_normal((500, 4))))
+    m, n = len(prob.b), prob.n
+    assert prob.constraint_norms.tobytes() == np.linalg.norm(
+        prob.constraints.reshape(m, n * n), axis=1).tobytes()
+    shapes = []
+    norm = np.linalg.norm
+
+    def recorded(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recorded)
+    assert solve_sdp(prob).optimal
+    assert shapes and (m, n * n) not in shapes
+
+
+def test_template_norms_solve_as_a_problem_built_from_its_own_stack():
+    # criterion 04's 50 unthresholded solves: the norms a relaxation shares
+    # with its template give the solve of norms taken from a fresh stack
+    rng = np.random.default_rng(40)
+    for trial in range(50):
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(5, 201))
+        scale = rng.uniform(0.3, 2.0)
+        kind = ("standard_gaussian", "product_laplace", "uniform_cube",
+                "student_t")[trial % 4]
+        spec = MarginalSpec(kind, d, nu=3 if kind == "student_t" else None)
+        pts = sample_marginal(spec, n, seed=400 + trial) * scale
+        prob = build_degree4_relaxation(empirical_fourth_moment_tensor(pts))
+        fresh = sdp.SdpProblem(prob.n, prob.objective, np.array(prob.constraints),
+                               prob.b, prob.trace_bound)
+        got, want = solve_sdp(prob), solve_sdp(fresh)
+        assert (got.status, got.value.hex(), got.iterations) == (
+            want.status, want.value.hex(), want.iterations)
 
 
 def test_relaxation_rejects_malformed_c():
@@ -712,3 +753,9 @@ def test_gaussian_d8_accepts_without_a_newton_step(monkeypatch, seed):
     assert verdict.diagnostics["stop_reason"] == "certified"
     assert verdict.diagnostics["iterations"] == 1
     assert verdict.diagnostics["sdp_value"] < 4.0
+
+
+@pytest.mark.parametrize("points", [np.empty((0, 3)), np.ones(3)])
+def test_fourth_moment_tensor_refuses_an_empty_sample(points):
+    with pytest.raises(ValueError, match="nonempty"):
+        empirical_fourth_moment_tensor(points)

@@ -379,3 +379,78 @@ def test_disagreement_negation_with_zero_first_coordinate(theta):
     assert minus.diagnostics["strip_probability"] == plus.diagnostics["strip_probability"]
     assert minus.diagnostics["band_operator_norm"] == pytest.approx(
         plus.diagnostics["band_operator_norm"], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_verdict_refuses_a_diagnostic_that_is_not_finite(value):
+    with pytest.raises(ValueError, match="not finite"):
+        TesterVerdict(accepted=True, diagnostics={"n": 3, "slack": value})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lam": 0.5}, "lam must be >= 1"),
+    ({"c1": 0.0}, "constants must be positive"),
+    ({"c1": -1.0}, "constants must be positive"),
+    ({"c_hyper": 0.0}, "constants must be positive"),
+    ({"c_hyper": -2.0}, "constants must be positive")])
+def test_tester_config_refuses_bad_constants(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        TesterConfig(**kwargs)
+
+
+def _gaussian_points(d, n=2000, seed=60):
+    return sample_marginal(MarginalSpec("standard_gaussian", d), n, seed=seed)
+
+
+TAKES_W = {
+    "strip": lambda pts, w: strip_probability(pts, w, 0.1),
+    "disagreement": lambda pts, w: local_disagreement_test(pts, w, 0.1, CFG),
+    "anticoncentration": lambda pts, w: weak_anticoncentration_test(pts, w,
+                                                                    0.1, CFG),
+    "stationary": lambda pts, w: stationary_point_test(pts, w, 0.1, None, CFG)}
+CALLS = dict(TAKES_W, spectral=lambda pts, w: spectral_test(pts, 0.1, "min"))
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_testers_refuse_an_empty_sample(name):
+    with pytest.raises(PreconditionError, match="at least one point"):
+        CALLS[name](np.empty((0, 3)), E1_3)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_W))
+def test_testers_refuse_a_w_that_is_not_unit(name):
+    with pytest.raises(PreconditionError, match="unit vector"):
+        TAKES_W[name](_gaussian_points(3), np.array([1.0, 1.0, 0.0]))
+
+
+def test_spectral_test_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode"):
+        spectral_test(_gaussian_points(3), 0.5, "median")
+
+
+@pytest.mark.parametrize("name", ["anticoncentration", "stationary"])
+def test_slab_testers_refuse_dimension_one(name):
+    with pytest.raises(PreconditionError, match="dimension >= 2"):
+        TAKES_W[name](_gaussian_points(1), np.ones(1))
+
+
+def test_anticoncentration_rejects_a_slab_that_holds_too_much():
+    # every point lies on the hyperplane <e1, x> = 0, so the sigma-slab holds
+    # the whole sample, above 2 sigma c1 lam^c1 = 0.216
+    pts = _gaussian_points(3)
+    pts[:, 0] = 0.0
+    verdict = weak_anticoncentration_test(pts, E1_3, 0.001, CFG)
+    assert not verdict.accepted
+    assert verdict.diagnostics["rejected_by"] == "strip"
+    assert verdict.diagnostics["strip_probability"] == 1.0
+
+
+@pytest.mark.parametrize("sigma, eta, message", [
+    (0.0, None, "sigma must lie"), (-0.1, 0.1, "sigma must lie"),
+    (0.5, 0.1, "sigma must lie"), (math.nan, None, "sigma must lie"),
+    (0.1, 0.5, "eta must lie"), (0.1, -0.1, "eta must lie"),
+    (0.1, math.nan, "eta must lie")])
+def test_stationary_test_refuses_sigma_or_eta_out_of_range(sigma, eta, message):
+    # CFG has lam = 3, so sigma may be at most 1/6
+    with pytest.raises(PreconditionError, match=message):
+        stationary_point_test(_gaussian_points(3), E1_3, sigma, eta, CFG)
